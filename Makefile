@@ -1,19 +1,26 @@
 # Pre-merge gate and common development targets.  `make check` is the full
 # gate: vet, build, race-enabled tests, a one-iteration pass over every
 # benchmark (catches bit-rot in benchmark code without paying for timing),
-# and the aptlint self-smoke over all of testdata/.
+# the aptlint self-smoke over all of testdata/, and a vet + test pass over the
+# benchmark module (which compiles against internal APIs).
 
 GO ?= go
 
-.PHONY: check vet build test race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench bench-json bench-served bench-cluster bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
+.PHONY: check vet build bench-build test race race-engine race-pool race-serve race-cluster race-guards serve-smoke cluster-smoke obs-check fuzzfarm-smoke aptc-smoke bench bench-json bench-served bench-cluster bench-dfa bench-intern bench-incr bench-fuzzfarm lintsmoke allocs figure7 clean
 
-check: vet build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke
+check: vet build bench-build race bench lintsmoke serve-smoke cluster-smoke race-cluster obs-check fuzzfarm-smoke aptc-smoke
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# The benchmark under benchmark/ is its own module (so `go test ./...` at the
+# root skips it), yet it compiles against the internal packages; vet and test
+# it here so an internal API change cannot silently break it.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

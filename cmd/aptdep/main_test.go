@@ -174,6 +174,40 @@ func TestBatchModeStats(t *testing.T) {
 	}
 }
 
+// TestBatchModeStatsDFASummary: the engine's language cache reports under
+// the same metric names as the sequential prover's, so -batch -stats prints
+// the DFA hit-rate and compile lines too — and the same query compiles the
+// same number of DFAs on both paths.
+func TestBatchModeStatsDFASummary(t *testing.T) {
+	batchFile := filepath.Join(t.TempDir(), "queries.txt")
+	if err := os.WriteFile(batchFile, []byte("between S T\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	compilesLine := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args = append(append([]string{"-stats", "-fn", "subr"}, args...), "../../testdata/section33.c")
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit = %d\nstderr: %s", args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "DFA language-cache hit rate: ") {
+			t.Errorf("%v: stderr missing the DFA hit-rate line:\n%s", args, stderr.String())
+		}
+		for _, ln := range strings.Split(stderr.String(), "\n") {
+			if strings.HasPrefix(ln, "DFA compiles: ") {
+				return ln
+			}
+		}
+		t.Errorf("%v: stderr missing the DFA compiles line:\n%s", args, stderr.String())
+		return ""
+	}
+	batch := compilesLine("-batch", batchFile)
+	seq := compilesLine("-from", "S", "-to", "T")
+	if batch != seq {
+		t.Errorf("batch reports %q, sequential %q for the same query", batch, seq)
+	}
+}
+
 // TestBatchModeLoop: 'loop L' expands to the loop-carried self-dependence
 // queries (the DOALL-legal loop of testdata/lint/doall.c answers No).
 func TestBatchModeLoop(t *testing.T) {

@@ -58,6 +58,7 @@ import (
 	"repro/internal/route"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -204,79 +205,76 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runServer listens, serves until SIGTERM/SIGINT, then drains in-flight
-// requests and exits 0 on a clean drain.
+// requests and exits 0 on a clean drain.  SIGQUIT dumps the flight recorder
+// (slowest + degraded request traces) to stderr and keeps serving — the
+// "what just got slow?" escape hatch for a live daemon.
 func runServer(cfg serve.Config, addr, portFile string, stdout, stderr io.Writer) int {
 	srv := serve.New(cfg)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "aptserved: listen: %v\n", err)
-		return 2
-	}
-	if portFile != "" {
-		if err := os.WriteFile(portFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			fmt.Fprintf(stderr, "aptserved: port-file: %v\n", err)
-			return 2
-		}
-	}
-	fmt.Fprintf(stdout, "aptserved: listening on %s\n", ln.Addr())
-
-	hs := &http.Server{Handler: srv}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-
-	// SIGQUIT dumps the flight recorder (slowest + degraded request traces)
-	// to stderr and keeps serving — the "what just got slow?" escape hatch
-	// for a live daemon.
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	quitDone := make(chan struct{})
-	go func() {
-		defer close(quitDone)
-		for range quit {
-			enc, err := json.MarshalIndent(srv.FlightSnapshot(), "", "  ")
-			if err != nil {
-				fmt.Fprintf(stderr, "aptserved: flight dump: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(stderr, "aptserved: flight recorder dump (SIGQUIT)\n%s\n", enc)
-		}
-	}()
-	defer func() { signal.Stop(quit); close(quit); <-quitDone }()
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		fmt.Fprintf(stderr, "aptserved: serve: %v\n", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately
-
-	fmt.Fprintln(stdout, "aptserved: draining")
-	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	drainErr := srv.Drain(drainCtx)
-	if err := hs.Shutdown(drainCtx); err != nil && drainErr == nil {
-		drainErr = err
-	}
-	st := srv.StatzSnapshot()
-	fmt.Fprintf(stdout, "aptserved: drained: %d accepted, %d completed, %d shed, %d refused during drain\n",
-		st.Accepted, st.Completed, st.Shed, st.RefusedDraining)
-	if drainErr != nil {
-		fmt.Fprintf(stderr, "aptserved: drain: %v\n", drainErr)
-		return 1
-	}
-	return 0
+	return runDaemon(daemon{
+		handler:   srv,
+		banner:    func(a net.Addr) string { return fmt.Sprintf("listening on %s", a) },
+		dumpTitle: "flight recorder dump",
+		dump:      func() any { return srv.FlightSnapshot() },
+		drain:     srv.Drain,
+		counts: func() (int64, int64, int64, int64) {
+			z := srv.StatzSnapshot()
+			return z.Accepted, z.Completed, z.Shed, z.RefusedDraining
+		},
+	}, addr, portFile, stdout, stderr)
 }
 
-// runRouter is runServer's shape for the routing tier: listen, route until
-// SIGTERM/SIGINT, drain in-flight forwards, exit 0 on a clean drain.
-// SIGQUIT dumps the router statz (ring, hedges, per-backend health) to
-// stderr without stopping.
+// runRouter is runServer for the routing tier: it routes instead of
+// serving, and SIGQUIT dumps the router statz (ring, hedges, per-backend
+// health) instead of the flight recorder.
 func runRouter(cfg route.Config, addr, portFile string, stdout, stderr io.Writer) int {
 	rt := route.New(cfg)
+	return runDaemon(daemon{
+		handler:   rt,
+		banner:    func(a net.Addr) string { return fmt.Sprintf("routing on %s across %d backends", a, len(cfg.Backends)) },
+		dumpTitle: "router statz dump",
+		dump:      func() any { return rt.StatzSnapshot() },
+		drain:     rt.Drain,
+		counts: func() (int64, int64, int64, int64) {
+			z := rt.StatzSnapshot()
+			return z.Accepted, z.Completed, z.Shed, z.RefusedDraining
+		},
+	}, addr, portFile, stdout, stderr)
+}
+
+// daemon is what the server and router lifecycles differ in.
+type daemon struct {
+	handler   http.Handler
+	banner    func(net.Addr) string // the listen line, after "aptserved: "
+	dumpTitle string                // SIGQUIT dump heading
+	dump      func() any            // SIGQUIT dump body
+	drain     func(context.Context) error
+	counts    func() (accepted, completed, shed, refused int64)
+}
+
+// runDaemon owns the signal lifecycle: listen, serve until SIGTERM/SIGINT,
+// drain in-flight requests, exit 0 on a clean drain.  The signal handlers
+// are installed before the listener is bound, so a SIGTERM sent as soon as
+// the listen line (or the port file) appears always drains instead of
+// killing the process.
+func runDaemon(d daemon, addr, portFile string, stdout, stderr io.Writer) int {
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	quit := make(chan os.Signal, 1)
+	signal.Notify(quit, syscall.SIGQUIT)
+	quitDone := make(chan struct{})
+	go func() {
+		defer close(quitDone)
+		for range quit {
+			enc, err := json.MarshalIndent(d.dump(), "", "  ")
+			if err != nil {
+				fmt.Fprintf(stderr, "aptserved: %s: %v\n", d.dumpTitle, err)
+				continue
+			}
+			fmt.Fprintf(stderr, "aptserved: %s (SIGQUIT)\n%s\n", d.dumpTitle, enc)
+		}
+	}()
+	defer func() { signal.Stop(quit); close(quit); <-quitDone }()
+
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "aptserved: listen: %v\n", err)
@@ -284,32 +282,14 @@ func runRouter(cfg route.Config, addr, portFile string, stdout, stderr io.Writer
 	}
 	if portFile != "" {
 		if err := os.WriteFile(portFile, []byte(ln.Addr().String()), 0o644); err != nil {
+			ln.Close()
 			fmt.Fprintf(stderr, "aptserved: port-file: %v\n", err)
 			return 2
 		}
 	}
-	fmt.Fprintf(stdout, "aptserved: routing on %s across %d backends\n", ln.Addr(), len(cfg.Backends))
+	fmt.Fprintf(stdout, "aptserved: %s\n", d.banner(ln.Addr()))
 
-	hs := &http.Server{Handler: rt}
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	quitDone := make(chan struct{})
-	go func() {
-		defer close(quitDone)
-		for range quit {
-			enc, err := json.MarshalIndent(rt.StatzSnapshot(), "", "  ")
-			if err != nil {
-				fmt.Fprintf(stderr, "aptserved: statz dump: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(stderr, "aptserved: router statz dump (SIGQUIT)\n%s\n", enc)
-		}
-	}()
-	defer func() { signal.Stop(quit); close(quit); <-quitDone }()
-
+	hs := &http.Server{Handler: d.handler}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
@@ -324,13 +304,13 @@ func runRouter(cfg route.Config, addr, portFile string, stdout, stderr io.Writer
 	fmt.Fprintln(stdout, "aptserved: draining")
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	drainErr := rt.Drain(drainCtx)
+	drainErr := d.drain(drainCtx)
 	if err := hs.Shutdown(drainCtx); err != nil && drainErr == nil {
 		drainErr = err
 	}
-	z := rt.StatzSnapshot()
+	accepted, completed, shed, refused := d.counts()
 	fmt.Fprintf(stdout, "aptserved: drained: %d accepted, %d completed, %d shed, %d refused during drain\n",
-		z.Accepted, z.Completed, z.Shed, z.RefusedDraining)
+		accepted, completed, shed, refused)
 	if drainErr != nil {
 		fmt.Fprintf(stderr, "aptserved: drain: %v\n", drainErr)
 		return 1
@@ -420,7 +400,7 @@ func runLoadgen(cfg loadgenConfig, stdout, stderr io.Writer) int {
 	if len(lines) == 0 {
 		return fatalf("%s holds no query lines", cfg.queries)
 	}
-	body, err := json.Marshal(serve.BatchRequest{
+	body, err := json.Marshal(wire.BatchRequest{
 		Program:    string(src),
 		Fn:         cfg.fn,
 		Queries:    lines,
@@ -473,7 +453,7 @@ func runLoadgen(cfg loadgenConfig, stdout, stderr io.Writer) int {
 			mu.Unlock()
 			return
 		}
-		var br serve.BatchResponse
+		var br wire.BatchResponse
 		decErr := json.NewDecoder(resp.Body).Decode(&br)
 		resp.Body.Close()
 		mu.Lock()

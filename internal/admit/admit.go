@@ -156,7 +156,7 @@ func (c *Controller) Draining() bool {
 // the window there is no rate to extrapolate (an idle process that just got
 // burst-filled), so it answers the 1-second floor.
 func (c *Controller) RetryAfterSeconds() int {
-	backlog := len(c.slots)
+	backlog := c.Backlog()
 	done := c.completions.Summary(RetryAfterWindow).Count
 	if backlog == 0 || done == 0 {
 		return 1
@@ -172,20 +172,13 @@ func (c *Controller) RetryAfterSeconds() int {
 	return int(secs)
 }
 
-// Slots exposes the admission-token channel and Run the run-slot channel.
-// They exist for composition (serve's white-box tests jam the queue by
-// occupying slots directly) — treat them as the capacities they are, not as
-// general-purpose channels.
-func (c *Controller) Slots() chan struct{} { return c.slots }
+// Inflight returns the number of requests admitted by Begin and not yet
+// finished.
+func (c *Controller) Inflight() int64 { return c.gauge.Load() }
 
-// Run exposes the run-slot channel; see Slots.
-func (c *Controller) Run() chan struct{} { return c.run }
-
-// Gauge exposes the in-flight gauge (admitted and not yet completed).
-func (c *Controller) Gauge() *atomic.Int64 { return &c.gauge }
-
-// Completions exposes the completion window feeding RetryAfterSeconds.
-func (c *Controller) Completions() *telemetry.WindowHistogram { return c.completions }
+// Backlog returns the number of admission tokens held: requests running
+// plus requests queued for a run slot.
+func (c *Controller) Backlog() int { return len(c.slots) }
 
 // NoteShed counts an externally decided shed (a router propagating a
 // backend's 429 sheds without TryAcquire having failed locally).

@@ -9,32 +9,41 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DFACache is the compilation-cache interface the prover draws DFAs (and
-// the language decisions built on them) from.  Two implementations exist:
-// Cache, the single-owner cache each prover builds by default, and
-// SharedCache, the sharded concurrency-safe cache the batched query engine
-// hands to every worker prover so subset constructions are paid once per
-// (expression, alphabet) across the whole batch.
-type DFACache interface {
-	DFA(e pathexpr.Expr, a *Alphabet) (*DFA, error)
-	Includes(sub, sup pathexpr.Expr, a *Alphabet) (bool, error)
-	Disjoint(x, y pathexpr.Expr, a *Alphabet) (bool, error)
-	Equivalent(x, y pathexpr.Expr, a *Alphabet) (bool, error)
-	Stats() CacheStats
+// CacheStats counts a language cache's work.
+type CacheStats struct {
+	// Lookups is the number of DFA requests.
+	Lookups int
+	// Hits is the number of requests served from the cache.
+	Hits int
+	// Compiles is the number of subset constructions performed.
+	Compiles int
+	// StatesBuilt sums DFA states out of subset construction, before
+	// minimization.
+	StatesBuilt int
+	// StatesMinimized sums DFA states after Hopcroft minimization (equal to
+	// StatesBuilt when minimization is disabled).
+	StatesMinimized int
+	// LimitFailures counts compilations and product constructions aborted
+	// by the state limit.
+	LimitFailures int
 }
-
-var (
-	_ DFACache = (*Cache)(nil)
-	_ DFACache = (*SharedCache)(nil)
-)
 
 // DefaultSharedShards is the shard count used when NewSharedCache is given
 // a non-positive one.  Sixteen shards keep lock contention negligible for
 // pool widths far beyond anything the engine spawns.
 const DefaultSharedShards = 16
 
-// SharedCache is a concurrency-safe DFA cache: a fixed array of
-// mutex-guarded shards keyed, like Cache, by (alphabet, expression).
+// SharedCache memoizes compiled DFAs keyed by (expression, alphabet), and
+// the boolean language decisions built on them.  The prover tests the same
+// small expressions against many axioms; caching makes the paper's "proof
+// attempt is never repeated" complexity argument hold for the automata
+// layer too.  It is the one language cache in the process: a sequential
+// prover builds a single-shard instance of its own, and the batched query
+// engine hands one sharded instance to every worker prover so subset
+// constructions are paid once per (expression, alphabet) across the whole
+// batch.
+//
+// The cache is concurrency-safe: a fixed array of mutex-guarded shards.
 // Compiled DFAs are immutable, so a value read under one shard's lock is
 // safe to use forever after; two goroutines racing to compile the same
 // expression both succeed and the second insert overwrites the first with
@@ -65,12 +74,22 @@ type SharedCache struct {
 	cLookups      *telemetry.Counter
 	cHits         *telemetry.Counter
 	cCompiles     *telemetry.Counter
+	cStatesBuilt  *telemetry.Counter
+	cStatesSaved  *telemetry.Counter
 	cLimitFails   *telemetry.Counter
 	cEvictions    *telemetry.Counter
 	cDecisions    *telemetry.Counter
 	cDecisionHits *telemetry.Counter
 	compileTimeNS *telemetry.Histogram
 	compileWin    *telemetry.WindowHistogram
+}
+
+// dfaKey identifies one compiled DFA: an interned alphabet identity plus an
+// interned expression identity.  A fixed-size comparable struct, so building
+// one is free.
+type dfaKey struct {
+	alpha uint64
+	expr  uint64
 }
 
 // opsKey identifies one memoized boolean language decision: the operation,
@@ -115,15 +134,25 @@ func NewSharedCache(limit, shards, perShardCap int) *SharedCache {
 // (nil disables, the default).  Returns the cache for chaining.
 func (c *SharedCache) SetTelemetry(tel *telemetry.Set) *SharedCache {
 	c.tel = tel
-	c.cLookups = tel.Counter("automata.shared_lookups")
-	c.cHits = tel.Counter("automata.shared_hits")
-	c.cCompiles = tel.Counter("automata.shared_compiles")
-	c.cLimitFails = tel.Counter("automata.shared_state_limit_failures")
-	c.cEvictions = tel.Counter("automata.shared_evictions")
-	c.cDecisions = tel.Counter("automata.shared_decision_lookups")
-	c.cDecisionHits = tel.Counter("automata.shared_decision_hits")
-	c.compileTimeNS = tel.Histogram("automata.shared_compile_ns")
-	c.compileWin = tel.Window("automata.shared_compile_ns")
+	c.cLookups = tel.Counter("automata.lookups")
+	c.cHits = tel.Counter("automata.cache_hits")
+	c.cCompiles = tel.Counter("automata.compiles")
+	c.cStatesBuilt = tel.Counter("automata.states_built")
+	c.cStatesSaved = tel.Counter("automata.states_saved_by_minimization")
+	c.cLimitFails = tel.Counter("automata.state_limit_failures")
+	c.cEvictions = tel.Counter("automata.evictions")
+	c.cDecisions = tel.Counter("automata.decision_lookups")
+	c.cDecisionHits = tel.Counter("automata.decision_hits")
+	c.compileTimeNS = tel.Histogram("automata.compile_ns")
+	c.compileWin = tel.Window("automata.compile_ns")
+	return c
+}
+
+// DisableMinimize makes later compilations skip Hopcroft minimization (the
+// minimization ablation).  Call it before the cache is shared.  Returns the
+// cache for chaining.
+func (c *SharedCache) DisableMinimize() *SharedCache {
+	c.noMinimize = true
 	return c
 }
 
@@ -164,18 +193,21 @@ func (c *SharedCache) DFA(e pathexpr.Expr, a *Alphabet) (*DFA, error) {
 	if !c.noMinimize {
 		d = d.Minimize()
 	}
+	minimized := d.NumStates()
 	c.compiles.Add(1)
 	c.statesBuilt.Add(int64(built))
-	c.statesMin.Add(int64(d.NumStates()))
+	c.statesMin.Add(int64(minimized))
 	c.cCompiles.Add(1)
+	c.cStatesBuilt.Add(int64(built))
+	c.cStatesSaved.Add(int64(built - minimized))
 	if timed {
 		dur := time.Since(t0)
 		c.compileTimeNS.Observe(dur.Nanoseconds())
 		c.compileWin.Observe(dur.Nanoseconds())
-		c.tel.Emit("automata.shared_compile",
+		c.tel.Emit("automata.compile",
 			telemetry.String("expr", n.String()),
 			telemetry.Int("states", built),
-			telemetry.Int("min_states", d.NumStates()),
+			telemetry.Int("min_states", minimized),
 			telemetry.DurUS("dur_us", dur))
 	}
 

@@ -17,28 +17,82 @@ func sharedTestExprs() []pathexpr.Expr {
 	return out
 }
 
-// TestSharedCacheMatchesPrivateCache: both implementations of DFACache must
-// give identical language decisions.
+// TestSharedCacheMatchesPrivateCache: the cache's memoized language
+// decisions must equal the decisions computed directly on freshly compiled,
+// minimized DFAs under the same state budget — on the first (computing) and
+// the second (memo-answered) ask alike.
 func TestSharedCacheMatchesPrivateCache(t *testing.T) {
 	alpha := NewAlphabet("L", "R", "N")
-	private := NewCache(0)
 	shared := NewSharedCache(0, 0, 0)
 	exprs := sharedTestExprs()
+	direct := func(e pathexpr.Expr) *DFA {
+		d, err := CompileLimit(e, alpha, DefaultStateLimit)
+		if err != nil {
+			t.Fatalf("CompileLimit(%v): %v", e, err)
+		}
+		return d.Minimize()
+	}
 	for _, x := range exprs {
 		for _, y := range exprs {
-			for name, op := range map[string]func(DFACache) (bool, error){
-				"Includes":   func(c DFACache) (bool, error) { return c.Includes(x, y, alpha) },
-				"Disjoint":   func(c DFACache) (bool, error) { return c.Disjoint(x, y, alpha) },
-				"Equivalent": func(c DFACache) (bool, error) { return c.Equivalent(x, y, alpha) },
+			dx, dy := direct(x), direct(y)
+			for _, op := range []struct {
+				name   string
+				cached func() (bool, error)
+				direct func() (bool, error)
+			}{
+				{"Includes",
+					func() (bool, error) { return shared.Includes(x, y, alpha) },
+					func() (bool, error) { return dx.IncludesLimit(dy, DefaultStateLimit) }},
+				{"Disjoint",
+					func() (bool, error) { return shared.Disjoint(x, y, alpha) },
+					func() (bool, error) {
+						prod, err := dx.IntersectLimit(dy, DefaultStateLimit)
+						if err != nil {
+							return false, err
+						}
+						return prod.IsEmpty(), nil
+					}},
+				{"Equivalent",
+					func() (bool, error) { return shared.Equivalent(x, y, alpha) },
+					func() (bool, error) { return dx.EquivalentLimit(dy, DefaultStateLimit) }},
 			} {
-				wantOK, wantErr := op(private)
-				gotOK, gotErr := op(shared)
-				if wantOK != gotOK || (wantErr == nil) != (gotErr == nil) {
-					t.Errorf("%s(%v, %v): shared says (%v,%v), private says (%v,%v)",
-						name, x, y, gotOK, gotErr, wantOK, wantErr)
+				wantOK, wantErr := op.direct()
+				for pass := 0; pass < 2; pass++ {
+					gotOK, gotErr := op.cached()
+					if wantOK != gotOK || (wantErr == nil) != (gotErr == nil) {
+						t.Errorf("%s(%v, %v) pass %d: cache says (%v,%v), direct says (%v,%v)",
+							op.name, x, y, pass, gotOK, gotErr, wantOK, wantErr)
+					}
 				}
 			}
 		}
+	}
+	if _, hits := shared.DecisionStats(); hits == 0 {
+		t.Error("second asks never hit the decision memo")
+	}
+}
+
+// TestSharedCacheDisableMinimize: the minimization ablation leaves every
+// compiled DFA at its subset-construction size, and decisions unchanged.
+func TestSharedCacheDisableMinimize(t *testing.T) {
+	alpha := NewAlphabet("L", "R", "N")
+	plain := NewSharedCache(0, 1, 0)
+	raw := NewSharedCache(0, 1, 0).DisableMinimize()
+	exprs := sharedTestExprs()
+	for _, x := range exprs {
+		for _, y := range exprs {
+			want, err1 := plain.Includes(x, y, alpha)
+			got, err2 := raw.Includes(x, y, alpha)
+			if want != got || err1 != nil || err2 != nil {
+				t.Errorf("Includes(%v, %v): unminimized (%v,%v), minimized (%v,%v)", x, y, got, err2, want, err1)
+			}
+		}
+	}
+	if st := raw.Stats(); st.StatesMinimized != st.StatesBuilt {
+		t.Errorf("DisableMinimize: %d states after minimization, %d built; want equal", st.StatesMinimized, st.StatesBuilt)
+	}
+	if st := plain.Stats(); st.StatesMinimized >= st.StatesBuilt {
+		t.Errorf("default cache saved no states: %d built, %d minimized", st.StatesBuilt, st.StatesMinimized)
 	}
 }
 

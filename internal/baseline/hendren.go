@@ -20,7 +20,7 @@ import (
 type HendrenNicolau struct {
 	axioms    *axiom.Set
 	prov      *prover.Prover
-	dfas      *automata.Cache
+	dfas      *automata.SharedCache
 	certified map[string]bool
 }
 
@@ -30,7 +30,7 @@ func NewHendrenNicolau(axioms *axiom.Set) *HendrenNicolau {
 	return &HendrenNicolau{
 		axioms:    axioms,
 		prov:      prover.New(axioms, prover.Options{}),
-		dfas:      automata.NewCache(0),
+		dfas:      automata.NewSharedCache(0, 1, 0),
 		certified: make(map[string]bool),
 	}
 }

@@ -24,7 +24,7 @@ type KLimited struct {
 	K      int
 	axioms *axiom.Set
 	prov   *prover.Prover
-	dfas   *automata.Cache
+	dfas   *automata.SharedCache
 }
 
 // NewKLimited builds the baseline with the given k (a typical published
@@ -34,7 +34,7 @@ func NewKLimited(k int, axioms *axiom.Set) *KLimited {
 		K:      k,
 		axioms: axioms,
 		prov:   prover.New(axioms, prover.Options{}),
-		dfas:   automata.NewCache(0),
+		dfas:   automata.NewSharedCache(0, 1, 0),
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 type LarusHilfinger struct {
 	axioms *axiom.Set
 	prov   *prover.Prover
-	dfas   *automata.Cache
+	dfas   *automata.SharedCache
 	groups [][]string
 	// certified memoizes tree certification per field-set key.
 	certified map[string]bool
@@ -27,7 +27,7 @@ func NewLarusHilfinger(axioms *axiom.Set) *LarusHilfinger {
 	return &LarusHilfinger{
 		axioms:    axioms,
 		prov:      prover.New(axioms, prover.Options{}),
-		dfas:      automata.NewCache(0),
+		dfas:      automata.NewSharedCache(0, 1, 0),
 		groups:    FieldGroups(axioms),
 		certified: make(map[string]bool),
 	}

@@ -135,9 +135,13 @@ func (e *Engine) Axioms() *axiom.Set { return e.axioms }
 // Workers returns the engine's pool width.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
-// Stats snapshots the engine's counters and shared-cache state.  (The
-// engine keeps its own atomics because telemetry instruments are nil, hence
-// unreadable, when telemetry is disabled.)
+// Stats snapshots the engine's counters and shared-cache state.  The
+// engine and its caches keep their own atomics beside the telemetry
+// counters because the two answer different questions: a registry counter
+// is the process-lifetime sum over every engine sharing the registry (and
+// outlives an engine the pool evicts), while these are this one engine's
+// numbers, which /statz and the per-set metric families report.  They also
+// stay readable when telemetry is disabled and the instruments are nil.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Batches:         e.batches.Load(),

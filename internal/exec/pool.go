@@ -38,8 +38,11 @@ type PoolConfig struct {
 }
 
 // Pool keeps one warm engine.Engine — and therefore one shared DFA cache
-// and one proof memo — per axiom-set fingerprint, reclaiming the least-
-// recently-used engine when the population exceeds its cap.  Eviction only
+// and one proof memo — per axiom set, reclaiming the least-recently-used
+// engine when the population exceeds its cap.  Entries are keyed by the
+// process-local axiom.Set.ID(); the cross-process Fingerprint64 is only the
+// key Find, SnapshotArtifact and Fingerprints answer to, for a peer that
+// names a shard by its ring identity.  Eviction only
 // unlinks the engine from the pool: an in-flight batch still running on it
 // finishes normally and the garbage collector reclaims the caches
 // afterwards, so no request ever observes a half-dead engine.

@@ -31,11 +31,11 @@ type Options struct {
 	// (ablation).
 	DisableMinimize bool
 	// DFACache, when non-nil, replaces the prover's private language cache —
-	// the batched query engine passes an automata.SharedCache here so every
-	// worker prover draws from (and feeds) one compilation cache.  The
-	// provider owns the cache's telemetry wiring; DisableMinimize and
-	// DFAStateLimit are then ignored.
-	DFACache automata.DFACache
+	// the batched query engine passes one cache here so every worker prover
+	// draws from (and feeds) one compilation cache.  The provider owns the
+	// cache's telemetry wiring; DisableMinimize and DFAStateLimit are then
+	// ignored.
+	DFACache *automata.SharedCache
 	// Interrupt, when non-nil, is polled periodically during proof search;
 	// returning true aborts the query with Exhausted — which callers map to
 	// Maybe, never to an unsound No.  The engine uses this for context
@@ -90,7 +90,7 @@ type proofKey struct {
 type Prover struct {
 	axioms *axiom.Set
 	opts   Options
-	dfas   automata.DFACache
+	dfas   *automata.SharedCache
 	// cache memoizes definitive goal outcomes keyed by goal+lemma
 	// fingerprint, retaining the proof tree of proved goals so that cached
 	// steps remain machine-checkable.  Valid for the lifetime of the prover
@@ -145,14 +145,12 @@ func New(axioms *axiom.Set, opts Options) *Prover {
 	opts = opts.withDefaults()
 	dfas := opts.DFACache
 	if dfas == nil {
-		var private *automata.Cache
+		// A private cache: one shard (the prover is single-goroutine) and
+		// no entry cap (it lives exactly as long as the prover).
+		dfas = automata.NewSharedCache(opts.DFAStateLimit, 1, 0).SetTelemetry(opts.Telemetry)
 		if opts.DisableMinimize {
-			private = automata.NewCacheNoMinimize(opts.DFAStateLimit)
-		} else {
-			private = automata.NewCache(opts.DFAStateLimit)
+			dfas.DisableMinimize()
 		}
-		private.SetTelemetry(opts.Telemetry)
-		dfas = private
 	}
 	p := &Prover{
 		axioms: axioms,

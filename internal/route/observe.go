@@ -46,7 +46,7 @@ func (rt *Router) StatzSnapshot() Statz {
 		Draining:        rt.Draining(),
 		Accepted:        accepted,
 		Completed:       completed,
-		Inflight:        rt.adm.Gauge().Load(),
+		Inflight:        rt.adm.Inflight(),
 		Shed:            shed,
 		RefusedDraining: refused,
 		Panics:          rt.panics.Load(),
@@ -108,7 +108,7 @@ func (rt *Router) writePromRouter(w io.Writer) {
 	counter("apt_ring_warm_handoffs_total", "Ring moves whose warm state was shipped to the gaining backend.", rt.handoffs.Load())
 
 	fmt.Fprintf(bw, "# HELP apt_router_inflight Requests admitted and not yet answered.\n# TYPE apt_router_inflight gauge\napt_router_inflight %d\n",
-		rt.adm.Gauge().Load())
+		rt.adm.Inflight())
 
 	fmt.Fprintf(bw, "# HELP apt_hedge_total Hedging outcomes: won (hedge answered first), lost (primary answered after the hedge fired), spared (no hedge needed).\n# TYPE apt_hedge_total counter\n")
 	for _, o := range []struct {

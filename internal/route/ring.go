@@ -53,7 +53,7 @@ func NewRing(addrs []string) *Ring {
 		seen[a] = true
 		r.addrs = append(r.addrs, a)
 		for i := 0; i < vnodesPerBackend; i++ {
-			r.vnodes = append(r.vnodes, vnode{hash: strhash.FNV64a(a + "#" + strconv.Itoa(i)), addr: a})
+			r.vnodes = append(r.vnodes, vnode{hash: mix64(strhash.FNV64a(a + "#" + strconv.Itoa(i))), addr: a})
 		}
 	}
 	sort.Strings(r.addrs)
@@ -114,9 +114,11 @@ func (r *Ring) search(fp uint64) int {
 }
 
 // mix64 is the splitmix64 finalizer: ring position must not correlate with
-// the structure of the FNV fingerprint (nearby keys hash to nearby FNV
-// values more often than ideal), so lookups pass through a full-avalanche
-// mix first.
+// the structure of the FNV hash (nearby inputs hash to nearby FNV values
+// more often than ideal), so vnode positions and lookups both pass through
+// a full-avalanche mix.  Unmixed vnodes for addresses that differ only in
+// the port cluster together, and one backend of a pair could end up owning
+// almost none of the ring.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

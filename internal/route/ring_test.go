@@ -1,6 +1,8 @@
 package route
 
 import (
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -62,6 +64,40 @@ func TestRingBalance(t *testing.T) {
 		if share < 0.10 || share > 0.45 {
 			t.Errorf("%s owns %.1f%% of the keyspace; want a roughly even split (counts %v)", a, share*100, counts)
 		}
+	}
+}
+
+// ringShares returns each member's share of the 64-bit ring: a vnode owns
+// the arc from its predecessor (exclusive) up to its own position.
+func ringShares(r *Ring) map[string]float64 {
+	shares := map[string]float64{}
+	prev := r.vnodes[len(r.vnodes)-1].hash
+	for _, v := range r.vnodes {
+		shares[v.addr] += float64(v.hash-prev) / math.Exp2(64) // wraps for the first vnode
+		prev = v.hash
+	}
+	return shares
+}
+
+// TestRingBalanceLoopbackPairs is the regression test for unmixed vnode
+// positions: two backends on one host differ only in their port, and
+// without the avalanche mix their vnodes clustered so badly that about one
+// pair in twenty left a backend with under a tenth of the ring.  Every
+// adjacent loopback port pair must now split the ring no worse than 25/75.
+func TestRingBalanceLoopbackPairs(t *testing.T) {
+	const pairs = 1000
+	worst, worstPair := 1.0, ""
+	for port := 40000; port < 40000+2*pairs; port += 2 {
+		a := NormalizeAddr(fmt.Sprintf("127.0.0.1:%d", port))
+		b := NormalizeAddr(fmt.Sprintf("127.0.0.1:%d", port+1))
+		for addr, share := range ringShares(NewRing([]string{a, b})) {
+			if share < worst {
+				worst, worstPair = share, addr
+			}
+		}
+	}
+	if worst < 0.25 {
+		t.Errorf("backend %s owns %.1f%% of a two-backend ring; want >= 25%% for every loopback port pair", worstPair, 100*worst)
 	}
 }
 

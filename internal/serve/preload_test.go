@@ -9,6 +9,7 @@ import (
 	"repro/internal/automata"
 	"repro/internal/engine"
 	"repro/internal/lang"
+	"repro/internal/wire"
 )
 
 // replayArtifact builds an artifact exactly as aptc -program mode does:
@@ -51,13 +52,13 @@ func TestPreloadBootPrewarm(t *testing.T) {
 	}
 
 	srv := New(Config{Workers: 1, Preload: art})
-	if n := srv.pool.len(); n != 1 {
+	if n := srv.pool.Len(); n != 1 {
 		t.Fatalf("boot prewarm left %d resident engines, want 1", n)
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	req := BatchRequest{Program: source, Fn: "subr", Queries: queryLines}
+	req := wire.BatchRequest{Program: source, Fn: "subr", Queries: queryLines}
 	resp, br := postBatch(t, ts.URL, req)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)

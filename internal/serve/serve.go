@@ -56,7 +56,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/axiom"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/lang"
 	"repro/internal/parallel"
@@ -170,14 +169,6 @@ func (c Config) poolConfig() exec.PoolConfig {
 	}
 }
 
-// enginePool adapts exec.Pool to the package-local names the server (and
-// its white-box tests) grew up with.
-type enginePool struct{ *exec.Pool }
-
-func (p enginePool) get(ax *axiom.Set) (*engine.Engine, bool) { return p.Get(ax) }
-func (p enginePool) len() int                                 { return p.Len() }
-func (p enginePool) snapshot() []exec.View                    { return p.Snapshot() }
-
 // Server answers dependence-query batches over warm per-axiom-set engines.
 // It implements http.Handler; cmd/aptserved wires it into an http.Server
 // and the signal lifecycle.
@@ -185,17 +176,8 @@ type Server struct {
 	cfg  Config
 	tel  *telemetry.Set
 	adm  *admit.Controller
-	pool enginePool
+	pool *exec.Pool
 	mux  *http.ServeMux
-
-	// White-box views into the admission controller — the same channel,
-	// gauge, and completion-window objects adm owns, not copies.  The
-	// package's tests jam the queue and seed the Retry-After estimator
-	// through them.
-	slots       chan struct{} // admission tokens: run slots + bounded queue
-	run         chan struct{} // run slots
-	gauge       *atomic.Int64 // requests admitted and not yet completed
-	completions *telemetry.WindowHistogram
 
 	flight *telemetry.FlightRecorder
 	access *telemetry.TraceWriter
@@ -223,26 +205,21 @@ func New(cfg Config) *Server {
 func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	tel := cfg.Telemetry
-	adm := admit.New(cfg.MaxConcurrent, cfg.QueueDepth)
 	s := &Server{
-		cfg:         cfg,
-		tel:         tel,
-		adm:         adm,
-		pool:        enginePool{exec.NewPool(cfg.poolConfig(), tel)},
-		mux:         http.NewServeMux(),
-		slots:       adm.Slots(),
-		run:         adm.Run(),
-		gauge:       adm.Gauge(),
-		completions: adm.Completions(),
-		flight:      telemetry.NewFlightRecorder(cfg.FlightK, cfg.FlightRing),
-		access:      cfg.AccessLog,
-		start:       time.Now(),
-		cRequests:   tel.Counter("serve.requests"),
-		cShed:       tel.Counter("serve.shed"),
-		cPanics:     tel.Counter("serve.panics"),
-		hRequestNS:  tel.Histogram("serve.request_ns"),
-		hQueueNS:    tel.Histogram("serve.queue_wait_ns"),
-		wRequestNS:  tel.Window("serve.request_ns"),
+		cfg:        cfg,
+		tel:        tel,
+		adm:        admit.New(cfg.MaxConcurrent, cfg.QueueDepth),
+		pool:       exec.NewPool(cfg.poolConfig(), tel),
+		mux:        http.NewServeMux(),
+		flight:     telemetry.NewFlightRecorder(cfg.FlightK, cfg.FlightRing),
+		access:     cfg.AccessLog,
+		start:      time.Now(),
+		cRequests:  tel.Counter("serve.requests"),
+		cShed:      tel.Counter("serve.shed"),
+		cPanics:    tel.Counter("serve.panics"),
+		hRequestNS: tel.Histogram("serve.request_ns"),
+		hQueueNS:   tel.Histogram("serve.queue_wait_ns"),
+		wRequestNS: tel.Window("serve.request_ns"),
 	}
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
@@ -290,7 +267,7 @@ func (s *Server) replayWarm(replays []automata.ArtifactReplay) {
 	)
 	var bodies [][]byte
 	for _, rp := range replays {
-		body, err := json.Marshal(BatchRequest{Program: rp.Program, Fn: rp.Fn, Queries: rp.Queries})
+		body, err := json.Marshal(wire.BatchRequest{Program: rp.Program, Fn: rp.Fn, Queries: rp.Queries})
 		if err != nil {
 			continue
 		}
@@ -328,7 +305,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 			// Best effort: if the handler already wrote a partial body this
 			// write fails silently, which is all HTTP offers.
-			writeJSONError(sw, http.StatusInternalServerError, msg)
+			wire.WriteJSONError(sw, http.StatusInternalServerError, msg)
 		}
 		s.logAccess(sw, r, time.Since(start))
 	}()
@@ -342,14 +319,10 @@ func (s *Server) Drain(ctx context.Context) error { return s.adm.Drain(ctx) }
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.adm.Draining() }
 
-// retryAfterSeconds is the admission controller's backlog-over-drain-rate
-// estimate; see admit.Controller.RetryAfterSeconds.
-func (s *Server) retryAfterSeconds() int { return s.adm.RetryAfterSeconds() }
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteJSONError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	// Join the caller's trace (W3C traceparent) or mint a fresh one, and
@@ -369,13 +342,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// the queue (and every client's latency) grow without bound.
 	if !s.adm.TryAcquire() {
 		s.cShed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeJSONError(w, http.StatusTooManyRequests, "admission queue full; retry")
+		w.Header().Set("Retry-After", strconv.Itoa(s.adm.RetryAfterSeconds()))
+		wire.WriteJSONError(w, http.StatusTooManyRequests, "admission queue full; retry")
 		return
 	}
 	defer s.adm.Release()
 	if !s.adm.Begin() {
-		writeJSONError(w, http.StatusServiceUnavailable, "server draining")
+		wire.WriteJSONError(w, http.StatusServiceUnavailable, "server draining")
 		return
 	}
 	s.cRequests.Add(1)
@@ -394,33 +367,33 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// only the client hanging up aborts the wait.
 	qsp := rt.StartSpan("serve.admission", root.ID())
 	if !s.adm.AcquireRun(r.Context()) {
-		writeJSONError(w, http.StatusServiceUnavailable, "client canceled while queued")
+		wire.WriteJSONError(w, http.StatusServiceUnavailable, "client canceled while queued")
 		return
 	}
 	defer s.adm.ReleaseRun()
 	s.hQueueNS.Observe(time.Since(startWait).Nanoseconds())
 	qsp.End()
 
-	var req BatchRequest
+	var req wire.BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	resp, m, code, err := s.answer(r.Context(), &req, rt, root.ID())
 	meta = m
 	if err != nil {
-		writeJSONError(w, code, err.Error())
+		wire.WriteJSONError(w, code, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // answer runs one decoded batch request; it returns the flight-recorder
 // metadata (nil on error) and an HTTP status code alongside any error.
 // Spans it opens parent under parent; the engine and prover pick up the
 // trace through the batch context's trace scope.
-func (s *Server) answer(ctx context.Context, req *BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*BatchResponse, *flightMeta, int, error) {
+func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*wire.BatchResponse, *flightMeta, int, error) {
 	if len(req.Raw) > 0 {
 		return s.answerRaw(ctx, req, rt, parent)
 	}
@@ -467,7 +440,7 @@ func (s *Server) answer(ctx context.Context, req *BatchRequest, rt *telemetry.Re
 // path routed cluster traffic takes when the client already holds analysis
 // results (and the differential suite's way of replaying engine workloads
 // through HTTP byte-identically).
-func (s *Server) answerRaw(ctx context.Context, req *BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*BatchResponse, *flightMeta, int, error) {
+func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*wire.BatchResponse, *flightMeta, int, error) {
 	if len(req.Queries) > 0 || req.Program != "" {
 		return nil, nil, http.StatusBadRequest, fmt.Errorf("raw queries exclude program/queries fields")
 	}
@@ -499,14 +472,14 @@ func (s *Server) answerRaw(ctx context.Context, req *BatchRequest, rt *telemetry
 // engine, run the batch under the request deadline, and assemble the
 // response and flight metadata.  echo maps a result index to the line/echo
 // pair the response reports.
-func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID,
-	ax *axiom.Set, queries []core.Query, echo func(int) (int, string), svc0 time.Time) (*BatchResponse, *flightMeta, int, error) {
+func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID,
+	ax *axiom.Set, queries []core.Query, echo func(int) (int, string), svc0 time.Time) (*wire.BatchResponse, *flightMeta, int, error) {
 
-	eng, cold := s.pool.get(ax)
-	deadline := clampMS(req.DeadlineMS, s.cfg.MaxDeadline)
+	eng, cold := s.pool.Get(ax)
+	deadline := wire.ClampMS(req.DeadlineMS, s.cfg.MaxDeadline)
 	perQuery := s.cfg.QueryTimeout
 	if req.TimeoutMS > 0 {
-		perQuery = clampMS(req.TimeoutMS, s.cfg.MaxDeadline)
+		perQuery = wire.ClampMS(req.TimeoutMS, s.cfg.MaxDeadline)
 	}
 	bctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
@@ -524,11 +497,11 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 		telemetry.Int("queries", len(outs)),
 	)
 
-	resp := &BatchResponse{Results: make([]QueryResult, len(outs))}
+	resp := &wire.BatchResponse{Results: make([]wire.QueryResult, len(outs))}
 	for i, out := range outs {
 		q := queries[i]
 		line, src := echo(i)
-		resp.Results[i] = QueryResult{
+		resp.Results[i] = wire.QueryResult{
 			Line:   line,
 			Query:  src,
 			S:      q.S.String(),
@@ -542,7 +515,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest, rt *telemetry.
 		}
 	}
 	deg := rt.DegradedCounts()
-	resp.Stats = BatchStats{
+	resp.Stats = wire.BatchStats{
 		Queries:         len(outs),
 		ElapsedUS:       elapsed.Microseconds(),
 		ServiceUS:       time.Since(svc0).Microseconds(),
@@ -642,16 +615,16 @@ func (s *Server) StatzSnapshot() Statz {
 		Draining:         s.Draining(),
 		Accepted:         accepted,
 		Completed:        completed,
-		Inflight:         s.gauge.Load(),
+		Inflight:         s.adm.Inflight(),
 		Shed:             shed,
 		RefusedDraining:  refused,
 		Panics:           s.panics.Load(),
 		DegradedRequests: s.degradedReqs.Load(),
-		EnginesResident:  s.pool.len(),
+		EnginesResident:  s.pool.Len(),
 		EnginesEvicted:   s.pool.Evicted(),
 		InternedExprs:    pathexpr.InternedExprs(),
 	}
-	for _, e := range s.pool.snapshot() {
+	for _, e := range s.pool.Snapshot() {
 		z.Engines = append(z.Engines, engineStatz(e))
 	}
 	return z
@@ -690,18 +663,8 @@ func engineStatz(v exec.View) EngineStatz {
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatzSnapshot())
+	wire.WriteJSON(w, http.StatusOK, s.StatzSnapshot())
 }
-
-// The JSON/clamp helpers live in the wire layer now; these bindings keep
-// the package-local call sites (and the handlers' shape) unchanged.
-func writeJSON(w http.ResponseWriter, code int, v any) { wire.WriteJSON(w, code, v) }
-
-func writeJSONError(w http.ResponseWriter, code int, msg string) {
-	wire.WriteJSONError(w, code, msg)
-}
-
-func clampMS(ms int64, max time.Duration) time.Duration { return wire.ClampMS(ms, max) }
 
 func defaultConcurrency() int {
 	n := runtime.GOMAXPROCS(0)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // treeProgram is the paper's §3.3 example (testdata/section33.c): S and T
@@ -38,7 +39,7 @@ func listProgram(t *testing.T) string {
 	return string(src)
 }
 
-func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, *BatchResponse) {
+func postBatch(t *testing.T, url string, req wire.BatchRequest) (*http.Response, *wire.BatchResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -50,11 +51,11 @@ func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, *Bat
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
+		var e wire.ErrorResponse
 		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
-		return resp, &BatchResponse{Stats: BatchStats{AxiomSet: e.Error}}
+		return resp, &wire.BatchResponse{Stats: wire.BatchStats{AxiomSet: e.Error}}
 	}
-	var br BatchResponse
+	var br wire.BatchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -66,7 +67,7 @@ func TestBatchRoundTripWarmsCaches(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	req := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T", "# comment", "between S T"}}
+	req := wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T", "# comment", "between S T"}}
 	resp, br := postBatch(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
@@ -123,7 +124,7 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e errorResponse
+		var e wire.ErrorResponse
 		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
@@ -153,9 +154,9 @@ func TestAdmissionShedding(t *testing.T) {
 	defer ts.Close()
 
 	// Occupy the only run slot so admitted requests park in the queue.
-	srv.run <- struct{}{}
+	srv.adm.AcquireRun(context.Background())
 
-	req := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
+	req := wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
 	body, _ := json.Marshal(req)
 	type result struct {
 		code int
@@ -175,7 +176,7 @@ func TestAdmissionShedding(t *testing.T) {
 	}
 	// Wait until both requests hold admission tokens (slots cap = 2).
 	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.slots) < 2 {
+	for srv.adm.Backlog() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("requests never filled the admission queue")
 		}
@@ -200,7 +201,7 @@ func TestAdmissionShedding(t *testing.T) {
 	}
 
 	// Unjam: both queued requests must complete normally.
-	<-srv.run
+	srv.adm.ReleaseRun()
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.err != nil || r.code != http.StatusOK {
@@ -216,9 +217,9 @@ func TestDrainFinishesInflight(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	srv.run <- struct{}{} // park admitted requests in the queue
+	srv.adm.AcquireRun(context.Background()) // park admitted requests in the queue
 
-	req := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
+	req := wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
 	body, _ := json.Marshal(req)
 	const parked = 3
 	codes := make(chan int, parked)
@@ -234,9 +235,9 @@ func TestDrainFinishesInflight(t *testing.T) {
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.gauge.Load() < parked {
+	for srv.adm.Inflight() < parked {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests admitted", srv.gauge.Load(), parked)
+			t.Fatalf("only %d of %d requests admitted", srv.adm.Inflight(), parked)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -270,7 +271,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 	}
 
 	// ...but every parked request completes, and the drain observes that.
-	<-srv.run
+	srv.adm.ReleaseRun()
 	for i := 0; i < parked; i++ {
 		if code := <-codes; code != http.StatusOK {
 			t.Errorf("parked request answered %d, want 200 (in-flight work must not be dropped)", code)
@@ -299,7 +300,7 @@ func TestPanicBecomes500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e errorResponse
+	var e wire.ErrorResponse
 	json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -326,7 +327,7 @@ func TestMetricsAndStatzEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if _, br := postBatch(t, ts.URL, BatchRequest{
+	if _, br := postBatch(t, ts.URL, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	}); len(br.Results) == 0 {
 		t.Fatal("no results")
@@ -343,7 +344,7 @@ func TestMetricsAndStatzEndpoints(t *testing.T) {
 		t.Fatalf("metrics.json decode: %v", err)
 	}
 	resp.Body.Close()
-	for _, want := range []string{"serve.requests", "engine.queries", "automata.shared_lookups"} {
+	for _, want := range []string{"serve.requests", "engine.queries", "automata.lookups"} {
 		if snap.Counters[want] == 0 {
 			t.Errorf("metrics counter %q = 0, want > 0 (have %d counters)", want, len(snap.Counters))
 		}
@@ -373,8 +374,8 @@ func TestEngineLRUReclamation(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	tree := BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
-	list := BatchRequest{Program: listProgram(t), Fn: "update", Queries: []string{"loop U"}}
+	tree := wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}
+	list := wire.BatchRequest{Program: listProgram(t), Fn: "update", Queries: []string{"loop U"}}
 
 	if _, br := postBatch(t, ts.URL, tree); !br.Stats.ColdEngine {
 		t.Error("first tree request should be cold")
@@ -405,7 +406,7 @@ func TestRequestScaleDeadline(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		queries = append(queries, "between S T")
 	}
-	resp, br := postBatch(t, ts.URL, BatchRequest{
+	resp, br := postBatch(t, ts.URL, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: queries,
 		DeadlineMS: 1, TimeoutMS: 1,
 	})
@@ -431,32 +432,35 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	mk := func(depth, backlog, completions int) *Server {
 		srv := New(Config{MaxConcurrent: 1, QueueDepth: depth})
 		for i := 0; i < backlog; i++ {
-			srv.slots <- struct{}{}
+			if !srv.adm.TryAcquire() {
+				t.Fatalf("backlog %d overflows a queue of depth %d", backlog, depth)
+			}
 		}
 		for i := 0; i < completions; i++ {
-			srv.completions.Observe(1)
+			srv.adm.Begin()
+			srv.adm.Finish()
 		}
 		return srv
 	}
 
 	// No backlog, or no completions to extrapolate a rate from: the floor.
-	if got := mk(10, 0, 50).retryAfterSeconds(); got != 1 {
+	if got := mk(10, 0, 50).adm.RetryAfterSeconds(); got != 1 {
 		t.Errorf("empty backlog: Retry-After = %d, want the 1s floor", got)
 	}
-	if got := mk(10, 5, 0).retryAfterSeconds(); got != 1 {
+	if got := mk(10, 5, 0).adm.RetryAfterSeconds(); got != 1 {
 		t.Errorf("no recent completions: Retry-After = %d, want the 1s floor", got)
 	}
 
 	// 20 completions in the 10s window = 2/s; a backlog of 10 should drain
 	// in ~5s.
-	if got := mk(20, 10, 20).retryAfterSeconds(); got != 5 {
+	if got := mk(20, 10, 20).adm.RetryAfterSeconds(); got != 5 {
 		t.Errorf("backlog 10 at 2/s: Retry-After = %d, want 5", got)
 	}
 
 	// Scaling in backlog at a fixed rate: strictly monotone until the clamp.
 	prev := 0
 	for _, backlog := range []int{2, 8, 20, 40} {
-		got := mk(50, backlog, 20).retryAfterSeconds()
+		got := mk(50, backlog, 20).adm.RetryAfterSeconds()
 		if got <= prev {
 			t.Errorf("backlog %d: Retry-After = %d, want > %d (must grow with backlog)", backlog, got, prev)
 		}
@@ -464,15 +468,15 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	}
 
 	// Scaling in drain rate at a fixed backlog: more completions, sooner retry.
-	slow := mk(50, 40, 10).retryAfterSeconds()
-	fast := mk(50, 40, 100).retryAfterSeconds()
+	slow := mk(50, 40, 10).adm.RetryAfterSeconds()
+	fast := mk(50, 40, 100).adm.RetryAfterSeconds()
 	if fast >= slow {
 		t.Errorf("faster drain must shorten the hint: %ds at 10 completions vs %ds at 100", slow, fast)
 	}
 
 	// A glacial drain rate clamps at the 60s ceiling rather than announcing
 	// a multi-minute outage.
-	if got := mk(200, 200, 1).retryAfterSeconds(); got != 60 {
+	if got := mk(200, 200, 1).adm.RetryAfterSeconds(); got != 60 {
 		t.Errorf("glacial drain: Retry-After = %d, want the 60s ceiling", got)
 	}
 }

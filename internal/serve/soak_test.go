@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 // makeListProgram renders a Figure 1-style list-update loop whose link
@@ -77,19 +78,19 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 	defer ts.Close()
 
 	type workload struct {
-		req  BatchRequest
+		req  wire.BatchRequest
 		name string
 	}
 	workloads := []workload{
-		{name: "tree", req: BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}},
-		{name: "listLink", req: BatchRequest{Program: makeListProgram("link"), Queries: []string{"loop U"}}},
-		{name: "listNext", req: BatchRequest{Program: makeListProgram("next"), Queries: []string{"loop U"}}},
-		{name: "listFwd", req: BatchRequest{Program: makeListProgram("fwd"), Queries: []string{"loop U"}}},
-		{name: "listSucc", req: BatchRequest{Program: makeListProgram("succ"), Queries: []string{"loop U"}}},
+		{name: "tree", req: wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}},
+		{name: "listLink", req: wire.BatchRequest{Program: makeListProgram("link"), Queries: []string{"loop U"}}},
+		{name: "listNext", req: wire.BatchRequest{Program: makeListProgram("next"), Queries: []string{"loop U"}}},
+		{name: "listFwd", req: wire.BatchRequest{Program: makeListProgram("fwd"), Queries: []string{"loop U"}}},
+		{name: "listSucc", req: wire.BatchRequest{Program: makeListProgram("succ"), Queries: []string{"loop U"}}},
 	}
 	deadlines := []int64{0, 1, 50} // server default, pathologically tight, modest
 
-	post := func(req BatchRequest) (int, *BatchResponse, error) {
+	post := func(req wire.BatchRequest) (int, *wire.BatchResponse, error) {
 		body, err := json.Marshal(req)
 		if err != nil {
 			return 0, nil, err
@@ -102,7 +103,7 @@ func TestSoakConcurrentMixedDeadlines(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			return resp.StatusCode, nil, nil
 		}
-		var br BatchResponse
+		var br wire.BatchResponse
 		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			return resp.StatusCode, nil, err
 		}

@@ -11,12 +11,13 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // postBatchTraced posts one batch with a client traceparent and returns the
 // response, decoded body, and the traceparent header the server answered
 // with.
-func postBatchTraced(t *testing.T, url, traceparent string, req BatchRequest) (*http.Response, *BatchResponse, string) {
+func postBatchTraced(t *testing.T, url, traceparent string, req wire.BatchRequest) (*http.Response, *wire.BatchResponse, string) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -35,7 +36,7 @@ func postBatchTraced(t *testing.T, url, traceparent string, req BatchRequest) (*
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var br BatchResponse
+	var br wire.BatchResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			t.Fatalf("decode: %v", err)
@@ -55,7 +56,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, br, echoed := postBatchTraced(t, ts.URL, client, BatchRequest{
+	resp, br, echoed := postBatchTraced(t, ts.URL, client, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -133,7 +134,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 
 	// A headerless (or malformed) request gets a freshly minted trace.
-	_, _, minted := postBatchTraced(t, ts.URL, "garbage", BatchRequest{
+	_, _, minted := postBatchTraced(t, ts.URL, "garbage", wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	})
 	mtc, ok := telemetry.ParseTraceparent(minted)
@@ -154,7 +155,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if _, br := postBatch(t, ts.URL, BatchRequest{
+	if _, br := postBatch(t, ts.URL, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	}); len(br.Results) == 0 {
 		t.Fatal("no results")
@@ -238,7 +239,7 @@ func TestAccessLogJSONL(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	if _, br := postBatch(t, ts.URL, BatchRequest{
+	if _, br := postBatch(t, ts.URL, wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"},
 	}); len(br.Results) == 0 {
 		t.Fatal("no results")
@@ -302,7 +303,7 @@ func TestDegradedRequestCaptured(t *testing.T) {
 	for i := range lines {
 		lines[i] = "between S T"
 	}
-	req := BatchRequest{
+	req := wire.BatchRequest{
 		Program: treeProgram(t), Fn: "subr",
 		Queries:    lines,
 		DeadlineMS: 1,
