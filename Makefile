@@ -41,9 +41,10 @@ race-pool:
 
 # Soak the long-lived query server under the race detector: 8 concurrent
 # clients, mixed deadlines, more axiom sets than the engine pool keeps,
-# then a drain overlapping a fresh request wave.
+# then a drain overlapping a fresh request wave; and 8 clients mixing
+# identical bodies (whose prepared form is shared) with distinct ones.
 race-serve:
-	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission' ./internal/serve
+	$(GO) test -race -count=3 -run 'TestSoak|TestDrain|TestAdmission|TestPreparedCacheConcurrent' ./internal/serve
 
 # Soak the routing tier's trickiest interleavings under the race detector:
 # hedge accounting (no double-counted completions, losers canceled), ring
@@ -78,14 +79,14 @@ serve-smoke:
 # Observability gate: the Prometheus exposition golden + validator, the
 # traceparent/span-tree tests, a 50-iteration race soak of the lock-free
 # flight recorder and sliding-window histogram, and the zero-allocation
-# guards for disabled tracing (which -race would skew, hence the separate
-# non-race invocation).
+# guards for disabled tracing, warm cache hits and the prepared-request hit
+# path (which -race would skew, hence the separate non-race invocation).
 obs-check:
 	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestTraceparent|TestRequestTrace|TestMetricsPrometheus|TestAccessLog' \
 		./internal/telemetry ./internal/serve
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
-	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget' \
-		./internal/telemetry ./internal/engine
+	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestPreparedHitAllocationBudget' \
+		./internal/telemetry ./internal/engine ./internal/serve
 	$(GO) test -race -run 'TestDegradedCountersSplitByReason' ./internal/engine
 
 # Fixed-seed differential fuzzing smoke: generate scenario programs over all

@@ -217,15 +217,29 @@ func (e *Engine) Batch(ctx context.Context, queries []core.Query) []core.Outcome
 	return e.BatchTimeout(ctx, queries, e.opts.QueryTimeout)
 }
 
+// BatchOptions are per-call additions to the engine's Options.
+type BatchOptions struct {
+	// VerifyProofs re-checks this batch's prover-backed Nos with the
+	// independent proof checker even when the engine was built without
+	// Options.VerifyProofs.  It can add checking, never remove it.
+	VerifyProofs bool
+}
+
 // BatchTimeout is Batch with a per-call override of the per-query timeout
-// (perQuery <= 0 disables it for this call).  A server uses this to honor a
-// client-chosen budget without rebuilding the engine; the warm caches are
-// shared either way.  A deadline on ctx bounds the whole batch: queries
-// still searching when it passes degrade to Maybe with a deadline reason,
-// exactly like a per-query timeout (and unlike an outright cancellation).
-func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuery time.Duration) []core.Outcome {
+// (perQuery <= 0 disables it for this call) and optional per-call
+// BatchOptions.  A server uses this to honor a client-chosen budget and a
+// client's request for proof checking without rebuilding the engine; the
+// warm caches are shared either way.  A deadline on ctx bounds the whole
+// batch: queries still searching when it passes degrade to Maybe with a
+// deadline reason, exactly like a per-query timeout (and unlike an outright
+// cancellation).
+func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuery time.Duration, bo ...BatchOptions) []core.Outcome {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	verify := e.opts.VerifyProofs
+	for _, o := range bo {
+		verify = verify || o.VerifyProofs
 	}
 	e.batches.Add(1)
 	e.queries.Add(int64(len(queries)))
@@ -244,7 +258,7 @@ func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuer
 			opts.TraceParent = ws.ID()
 		}
 		tester := core.NewTester(e.axioms, opts).SetProofMemo(e.memo)
-		tester.VerifyProofs = e.opts.VerifyProofs
+		tester.VerifyProofs = verify
 		for i := lo; i < hi; i++ {
 			results[i] = e.runOne(tester, guard, queries[i], perQuery)
 		}

@@ -17,8 +17,9 @@
 //     raw-query builder, and warm-state snapshot/preload.
 //
 // What remains here is the composition itself: HTTP endpoint wiring, the
-// program-mode analysis pipeline, tracing/flight-recorder/access-log
-// plumbing, and process warmup.  The cluster router (internal/route) is the
+// program-mode analysis pipeline and the prepared-request cache in front of
+// it (prepared.go), tracing/flight-recorder/access-log plumbing, and
+// process warmup.  The cluster router (internal/route) is the
 // other composition of the same tiers — admission in front of forwarding
 // instead of execution.
 //
@@ -45,6 +46,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -56,6 +58,7 @@ import (
 	"repro/internal/automata"
 	"repro/internal/axiom"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exec"
 	"repro/internal/lang"
 	"repro/internal/parallel"
@@ -179,6 +182,8 @@ type Server struct {
 	pool *exec.Pool
 	mux  *http.ServeMux
 
+	prepared *preparedCache
+
 	flight *telemetry.FlightRecorder
 	access *telemetry.TraceWriter
 
@@ -211,6 +216,7 @@ func newServer(cfg Config) *Server {
 		adm:        admit.New(cfg.MaxConcurrent, cfg.QueueDepth),
 		pool:       exec.NewPool(cfg.poolConfig(), tel),
 		mux:        http.NewServeMux(),
+		prepared:   newPreparedCache(tel),
 		flight:     telemetry.NewFlightRecorder(cfg.FlightK, cfg.FlightRing),
 		access:     cfg.AccessLog,
 		start:      time.Now(),
@@ -374,42 +380,56 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.hQueueNS.Observe(time.Since(startWait).Nanoseconds())
 	qsp.End()
 
-	var req wire.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	// A body seen before skips decode, parse, analysis and expansion: the
+	// prepared-request cache keys on the exact bytes.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	resp, m, code, err := s.answer(r.Context(), &req, rt, root.ID())
-	meta = m
-	if err != nil {
-		wire.WriteJSONError(w, code, err.Error())
-		return
+	var svc0 time.Time
+	p := s.prepared.get(body)
+	if p != nil {
+		svc0 = time.Now()
+		p.endSpan(rt.StartSpan(p.span, root.ID()), true)
+	} else {
+		var req wire.BatchRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+			return
+		}
+		svc0 = time.Now()
+		var code int
+		if p, code, err = s.prepare(&req, rt, root.ID()); err != nil {
+			wire.WriteJSONError(w, code, err.Error())
+			return
+		}
+		s.prepared.put(body, p)
 	}
+	var resp *wire.BatchResponse
+	resp, meta = s.runBatch(r.Context(), p, rt, root.ID(), svc0)
 	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
-// answer runs one decoded batch request; it returns the flight-recorder
-// metadata (nil on error) and an HTTP status code alongside any error.
-// Spans it opens parent under parent; the engine and prover pick up the
-// trace through the batch context's trace scope.
-func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*wire.BatchResponse, *flightMeta, int, error) {
+// prepare turns one decoded batch request into its prepared form, or an
+// error with the HTTP status to answer it.  The preparation span parents
+// under parent.
+func (s *Server) prepare(req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*prepared, int, error) {
 	if len(req.Raw) > 0 {
-		return s.answerRaw(ctx, req, rt, parent)
+		return s.prepareRaw(req, rt, parent)
 	}
 	if len(req.Queries) == 0 {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("no queries")
+		return nil, http.StatusBadRequest, fmt.Errorf("no queries")
 	}
-	svc0 := time.Now()
 	asp := rt.StartSpan("serve.analyze", parent)
 	prog, err := lang.Parse(req.Program)
 	if err != nil {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("program: %v", err)
+		return nil, http.StatusBadRequest, fmt.Errorf("program: %v", err)
 	}
 	fn := req.Fn
 	if fn == "" {
 		if len(prog.Funcs) != 1 {
-			return nil, nil, http.StatusBadRequest, fmt.Errorf("program has %d functions; set fn", len(prog.Funcs))
+			return nil, http.StatusBadRequest, fmt.Errorf("program has %d functions; set fn", len(prog.Funcs))
 		}
 		fn = prog.Funcs[0].Name
 	}
@@ -419,36 +439,35 @@ func (s *Server) answer(ctx context.Context, req *wire.BatchRequest, rt *telemet
 		Telemetry:            s.tel,
 	})
 	if err != nil {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("analyze: %v", err)
+		return nil, http.StatusBadRequest, fmt.Errorf("analyze: %v", err)
 	}
 	queries, origins, err := expandQueryLines(req.Queries, res)
 	if err != nil {
-		return nil, nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, err
 	}
 	if len(queries) > s.cfg.MaxQueries {
-		return nil, nil, http.StatusRequestEntityTooLarge,
+		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("%d expanded queries exceed the per-request limit of %d", len(queries), s.cfg.MaxQueries)
 	}
-	asp.End(telemetry.String("fn", fn), telemetry.Int("queries", len(queries)))
-
-	echo := func(i int) (int, string) { return origins[i], req.Queries[origins[i]] }
-	return s.runBatch(ctx, req, rt, parent, res.Axioms, queries, echo, svc0)
+	p := newPrepared(req, res.Axioms, queries, "serve.analyze", telemetry.String("fn", fn),
+		func(i int) (int, string) { return origins[i], req.Queries[origins[i]] })
+	p.endSpan(asp, false)
+	return p, http.StatusOK, nil
 }
 
-// answerRaw runs a raw-mode request: the axiom set arrives as text and the
-// queries fully specified, so analysis is skipped entirely.  This is the
+// prepareRaw prepares a raw-mode request: the axiom set arrives as text and
+// the queries fully specified, so analysis is skipped entirely.  This is the
 // path routed cluster traffic takes when the client already holds analysis
 // results (and the differential suite's way of replaying engine workloads
 // through HTTP byte-identically).
-func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*wire.BatchResponse, *flightMeta, int, error) {
+func (s *Server) prepareRaw(req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*prepared, int, error) {
 	if len(req.Queries) > 0 || req.Program != "" {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("raw queries exclude program/queries fields")
+		return nil, http.StatusBadRequest, fmt.Errorf("raw queries exclude program/queries fields")
 	}
 	if len(req.Raw) > s.cfg.MaxQueries {
-		return nil, nil, http.StatusRequestEntityTooLarge,
+		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("%d raw queries exceed the per-request limit of %d", len(req.Raw), s.cfg.MaxQueries)
 	}
-	svc0 := time.Now()
 	asp := rt.StartSpan("serve.rawparse", parent)
 	name := req.AxiomSetName
 	if name == "" {
@@ -456,30 +475,53 @@ func (s *Server) answerRaw(ctx context.Context, req *wire.BatchRequest, rt *tele
 	}
 	ax, err := axiom.ParseSet(name, req.AxiomSet)
 	if err != nil {
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("axiom_set: %v", err)
+		return nil, http.StatusBadRequest, fmt.Errorf("axiom_set: %v", err)
 	}
 	queries, err := exec.BuildRawQueries(ax, req.Raw)
 	if err != nil {
-		return nil, nil, http.StatusBadRequest, err
+		return nil, http.StatusBadRequest, err
 	}
-	asp.End(telemetry.String("axiom_set", name), telemetry.Int("queries", len(queries)))
-
-	echo := func(i int) (int, string) { return i, exec.RenderRawQuery(req.Raw[i]) }
-	return s.runBatch(ctx, req, rt, parent, ax, queries, echo, svc0)
+	p := newPrepared(req, ax, queries, "serve.rawparse", telemetry.String("axiom_set", name),
+		func(i int) (int, string) { return i, exec.RenderRawQuery(req.Raw[i]) })
+	p.endSpan(asp, false)
+	return p, http.StatusOK, nil
 }
 
-// runBatch is the shared tail of both request modes: acquire the warm
-// engine, run the batch under the request deadline, and assemble the
-// response and flight metadata.  echo maps a result index to the line/echo
-// pair the response reports.
-func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID,
-	ax *axiom.Set, queries []core.Query, echo func(int) (int, string), svc0 time.Time) (*wire.BatchResponse, *flightMeta, int, error) {
+// newPrepared assembles a prepared request; echo maps a query index to the
+// line/echo pair its result reports.
+func newPrepared(req *wire.BatchRequest, ax *axiom.Set, queries []core.Query, span string, label telemetry.Attr,
+	echo func(int) (int, string)) *prepared {
 
+	results := make([]wire.QueryResult, len(queries))
+	for i, q := range queries {
+		line, src := echo(i)
+		results[i] = wire.QueryResult{Line: line, Query: src, S: q.S.String(), T: q.T.String()}
+	}
+	return &prepared{
+		timeoutMS:  req.TimeoutMS,
+		deadlineMS: req.DeadlineMS,
+		verify:     req.Verify,
+		ax:         ax,
+		queries:    queries,
+		results:    results,
+		span:       span,
+		label:      label,
+	}
+}
+
+// runBatch is the shared tail of both request modes and both cache paths:
+// acquire the warm engine, run the prepared queries under the request
+// deadline, and assemble the response and flight metadata.  svc0 marks the
+// start of service time.
+func (s *Server) runBatch(ctx context.Context, p *prepared, rt *telemetry.RequestTrace, parent telemetry.SpanID,
+	svc0 time.Time) (*wire.BatchResponse, *flightMeta) {
+
+	ax := p.ax
 	eng, cold := s.pool.Get(ax)
-	deadline := wire.ClampMS(req.DeadlineMS, s.cfg.MaxDeadline)
+	deadline := wire.ClampMS(p.deadlineMS, s.cfg.MaxDeadline)
 	perQuery := s.cfg.QueryTimeout
-	if req.TimeoutMS > 0 {
-		perQuery = wire.ClampMS(req.TimeoutMS, s.cfg.MaxDeadline)
+	if p.timeoutMS > 0 {
+		perQuery = wire.ClampMS(p.timeoutMS, s.cfg.MaxDeadline)
 	}
 	bctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
@@ -488,7 +530,7 @@ func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, rt *telem
 
 	st0 := eng.Stats()
 	start := time.Now()
-	outs := eng.BatchTimeout(bctx, queries, perQuery)
+	outs := eng.BatchTimeout(bctx, p.queries, perQuery, engine.BatchOptions{VerifyProofs: p.verify})
 	elapsed := time.Since(start)
 	st := eng.Stats()
 	bsp.End(
@@ -498,18 +540,12 @@ func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, rt *telem
 	)
 
 	resp := &wire.BatchResponse{Results: make([]wire.QueryResult, len(outs))}
+	copy(resp.Results, p.results)
 	for i, out := range outs {
-		q := queries[i]
-		line, src := echo(i)
-		resp.Results[i] = wire.QueryResult{
-			Line:   line,
-			Query:  src,
-			S:      q.S.String(),
-			T:      q.T.String(),
-			Result: out.Result.String(),
-			Kind:   out.Kind.String(),
-			Reason: out.Reason,
-		}
+		r := &resp.Results[i]
+		r.Result = out.Result.String()
+		r.Kind = out.Kind.String()
+		r.Reason = out.Reason
 		if out.Result != core.No {
 			resp.Dependent = true
 		}
@@ -543,7 +579,7 @@ func (s *Server) runBatch(ctx context.Context, req *wire.BatchRequest, rt *telem
 		DFAHits:     int64(st.DFA.Hits - st0.DFA.Hits),
 		DFALookups:  int64(st.DFA.Lookups - st0.DFA.Lookups),
 	}
-	return resp, meta, http.StatusOK, nil
+	return resp, meta
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -602,8 +638,13 @@ type Statz struct {
 	// expressions.  The interner underlies every cache key in the stack and
 	// is never evicted (node IDs must stay stable), so this is the one
 	// monotone number to watch for expression-churn growth.
-	InternedExprs int           `json:"interned_exprs"`
-	Engines       []EngineStatz `json:"engines"`
+	InternedExprs int `json:"interned_exprs"`
+	// PreparedEntries and PreparedBytes are the prepared-request cache's
+	// admitted bodies and the body bytes they retain (bounded by
+	// preparedMaxEntries and preparedMaxBytes).
+	PreparedEntries int           `json:"prepared_entries"`
+	PreparedBytes   int           `json:"prepared_bytes"`
+	Engines         []EngineStatz `json:"engines"`
 }
 
 // StatzSnapshot assembles the /statz body (exported for the soak tests and
@@ -624,6 +665,7 @@ func (s *Server) StatzSnapshot() Statz {
 		EnginesEvicted:   s.pool.Evicted(),
 		InternedExprs:    pathexpr.InternedExprs(),
 	}
+	z.PreparedEntries, z.PreparedBytes = s.prepared.size()
 	for _, e := range s.pool.Snapshot() {
 		z.Engines = append(z.Engines, engineStatz(e))
 	}

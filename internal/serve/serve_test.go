@@ -12,14 +12,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/engine"
+	"repro/internal/lang"
 	"repro/internal/parallel"
+	"repro/internal/prover"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
 // treeProgram is the paper's §3.3 example (testdata/section33.c): S and T
 // are provably independent under the leaf-linked binary tree axioms.
-func treeProgram(t *testing.T) string {
+func treeProgram(t testing.TB) string {
 	t.Helper()
 	src, err := os.ReadFile("../../testdata/section33.c")
 	if err != nil {
@@ -478,5 +482,74 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	// a multi-minute outage.
 	if got := mk(200, 200, 1).adm.RetryAfterSeconds(); got != 60 {
 		t.Errorf("glacial drain: Retry-After = %d, want the 60s ceiling", got)
+	}
+}
+
+// TestVerifyFieldChecksProofs: the wire verify field reaches the engine.  A
+// server started without VerifyProofs gets a forged derivation planted in
+// its proof memo for the §3.3 goals.  Unverified, the request trusts the
+// memo and answers No; with verify:true the independent checker rejects
+// the derivation and the query degrades to Maybe.
+func TestVerifyFieldChecksProofs(t *testing.T) {
+	src := treeProgram(t)
+	prog, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.Analyze(prog, "subr", analysis.Options{InferTypeAxioms: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := res.QueriesBetween("S", "T")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Prove the goals on a private engine, then forge every Proved
+	// derivation in its snapshot: a root step claiming the trivial rule,
+	// which CheckProof rejects for any nonempty goal.
+	donor := engine.New(res.Axioms, engine.Options{})
+	donor.Batch(context.Background(), queries)
+	art := donor.SnapshotArtifact()
+	forged := 0
+	for i := range art.Goals {
+		if g := &art.Goals[i]; prover.Result(g.Result) == prover.Proved {
+			g.Steps[0].Rule = uint8(prover.RuleTrivial)
+			forged++
+		}
+	}
+	if forged == 0 {
+		t.Fatal("the §3.3 snapshot holds no proved goal to forge")
+	}
+
+	srv := New(Config{})
+	eng, _ := srv.pool.Get(res.Axioms)
+	if n := eng.Memo().Preseed(art); n == 0 {
+		t.Fatal("preseed inserted no goal")
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		verify bool
+		want   string
+	}{{verify: false, want: "No"}, {verify: true, want: "Maybe"}} {
+		resp, br := postBatch(t, ts.URL, wire.BatchRequest{
+			Program: src, Fn: "subr", Queries: []string{"between S T"}, Verify: tc.verify,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("verify=%v: status = %d (%s)", tc.verify, resp.StatusCode, br.Stats.AxiomSet)
+		}
+		if len(br.Results) == 0 {
+			t.Fatalf("verify=%v: no results", tc.verify)
+		}
+		for i, r := range br.Results {
+			if r.Result != tc.want {
+				t.Errorf("verify=%v: results[%d] = %s (%s), want %s", tc.verify, i, r.Result, r.Reason, tc.want)
+			}
+			if tc.verify && !strings.Contains(r.Reason, "failed independent checking") {
+				t.Errorf("verify=true: results[%d] reason %q does not name the failed check", i, r.Reason)
+			}
+		}
 	}
 }

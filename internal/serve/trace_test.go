@@ -92,45 +92,13 @@ func TestTraceparentRoundTrip(t *testing.T) {
 		t.Errorf("flight record traceparent = %q, want %q", rec.Traceparent, echoed)
 	}
 
-	byID := map[string]telemetry.SpanRecord{}
-	byName := map[string][]telemetry.SpanRecord{}
-	for _, sp := range rec.Spans {
-		byID[sp.ID] = sp
-		byName[sp.Name] = append(byName[sp.Name], sp)
-	}
-	for _, want := range []string{"serve.request", "serve.admission", "serve.analyze", "serve.batch", "engine.worker", "prover.prove"} {
-		if len(byName[want]) == 0 {
-			t.Fatalf("span %q missing from tree (have %d spans)", want, len(rec.Spans))
-		}
-	}
+	byName := checkSpanTree(t, rec.Spans, "serve.analyze", "prover.prove")
 	root := byName["serve.request"][0]
 	if root.Parent != "b7ad6b7169203331" {
 		t.Errorf("root span parent = %q, want the client's span id", root.Parent)
 	}
 	if root.ID != tc.SpanID.String() {
 		t.Errorf("root span id = %s, but the response header says %s", root.ID, tc.SpanID.String())
-	}
-	for _, name := range []string{"serve.admission", "serve.analyze", "serve.batch"} {
-		for _, sp := range byName[name] {
-			if sp.Parent != root.ID {
-				t.Errorf("%s parented under %q, want the root span %q", name, sp.Parent, root.ID)
-			}
-		}
-	}
-	batch := byName["serve.batch"][0]
-	for _, sp := range byName["engine.worker"] {
-		if sp.Parent != batch.ID {
-			t.Errorf("engine.worker parented under %q, want serve.batch %q", sp.Parent, batch.ID)
-		}
-	}
-	workers := map[string]bool{}
-	for _, sp := range byName["engine.worker"] {
-		workers[sp.ID] = true
-	}
-	for _, sp := range byName["prover.prove"] {
-		if !workers[sp.Parent] {
-			t.Errorf("prover.prove parented under %q, not any engine.worker span", sp.Parent)
-		}
 	}
 
 	// A headerless (or malformed) request gets a freshly minted trace.
@@ -344,4 +312,90 @@ func TestDegradedRequestCaptured(t *testing.T) {
 		return
 	}
 	t.Skip("deadline never expired in 25 cold attempts; machine too fast for a timing-based check")
+}
+
+// checkSpanTree checks the shape of one /v1/batch span tree and returns its
+// spans by name.  The request, admission, preparation (prep: serve.analyze
+// or serve.rawparse) and batch spans and an engine worker must be present,
+// as must every name in extra.  Admission, preparation and batch parent
+// under the root; workers under the batch; prover spans under a worker.
+func checkSpanTree(t *testing.T, spans []telemetry.SpanRecord, prep string, extra ...string) map[string][]telemetry.SpanRecord {
+	t.Helper()
+	byName := map[string][]telemetry.SpanRecord{}
+	for _, sp := range spans {
+		byName[sp.Name] = append(byName[sp.Name], sp)
+	}
+	for _, want := range append([]string{"serve.request", "serve.admission", prep, "serve.batch", "engine.worker"}, extra...) {
+		if len(byName[want]) == 0 {
+			t.Fatalf("span %q missing from tree (have %d spans)", want, len(spans))
+		}
+	}
+	root := byName["serve.request"][0]
+	for _, name := range []string{"serve.admission", prep, "serve.batch"} {
+		for _, sp := range byName[name] {
+			if sp.Parent != root.ID {
+				t.Errorf("%s parented under %q, want the root span %q", name, sp.Parent, root.ID)
+			}
+		}
+	}
+	batch := byName["serve.batch"][0]
+	for _, sp := range byName["engine.worker"] {
+		if sp.Parent != batch.ID {
+			t.Errorf("engine.worker parented under %q, want serve.batch %q", sp.Parent, batch.ID)
+		}
+	}
+	workers := map[string]bool{}
+	for _, sp := range byName["engine.worker"] {
+		workers[sp.ID] = true
+	}
+	for _, sp := range byName["prover.prove"] {
+		if !workers[sp.Parent] {
+			t.Errorf("prover.prove parented under %q, not any engine.worker span", sp.Parent)
+		}
+	}
+	return byName
+}
+
+// TestPreparedHitSpanTree: a request answered from the prepared cache still
+// emits its preparation span — serve.analyze in program mode, serve.rawparse
+// in raw mode — marked cached=true, so the span tree keeps the shape
+// TestTraceparentRoundTrip checks.  The two misses before it say
+// cached=false.
+func TestPreparedHitSpanTree(t *testing.T) {
+	srv := New(Config{Workers: 2, FlightK: 16})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		prep string
+		req  wire.BatchRequest
+	}{
+		{"serve.analyze", wire.BatchRequest{Program: treeProgram(t), Fn: "subr", Queries: []string{"between S T"}}},
+		{"serve.rawparse", rawTreeRequest()},
+	} {
+		var traces []string
+		for i := 0; i < 3; i++ {
+			tc0 := telemetry.NewTraceContext()
+			resp, _, _ := postBatchTraced(t, ts.URL, tc0.Traceparent(), tc.req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s send %d: status = %d", tc.prep, i, resp.StatusCode)
+			}
+			traces = append(traces, tc0.TraceID.String())
+		}
+		records := map[string]*telemetry.FlightRecord{}
+		for _, rec := range srv.FlightSnapshot().Slowest {
+			records[rec.TraceID] = rec
+		}
+		for i, id := range traces {
+			rec, ok := records[id]
+			if !ok {
+				t.Fatalf("%s send %d: no flight record for trace %s", tc.prep, i, id)
+			}
+			byName := checkSpanTree(t, rec.Spans, tc.prep)
+			wantCached := i == 2
+			if got := byName[tc.prep][0].Attrs["cached"]; got != wantCached {
+				t.Errorf("%s send %d: cached = %v, want %v", tc.prep, i, got, wantCached)
+			}
+		}
+	}
 }

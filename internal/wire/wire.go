@@ -59,8 +59,10 @@ type BatchRequest struct {
 	// DeadlineMS, when positive, bounds the whole request in milliseconds
 	// (capped by the server's MaxDeadline).  Zero selects the server cap.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Verify re-checks every prover-backed No with the independent proof
-	// checker.
+	// Verify re-checks every prover-backed No of this request with the
+	// independent proof checker, whether or not the server runs with
+	// verification on (it can add checking, never remove it).  A No whose
+	// derivation fails the check degrades to Maybe.
 	Verify bool `json:"verify,omitempty"`
 	// AssumeInvariants enables §5's "full" analysis (loops are assumed to
 	// re-establish axioms despite structural modifications).
@@ -110,10 +112,12 @@ type BatchStats struct {
 	Queries   int   `json:"queries"`
 	ElapsedUS int64 `json:"elapsed_us"`
 	// ServiceUS is the server-side service time for the whole request —
-	// parse, analysis, engine acquisition (including a cold build), and the
-	// batch run — excluding admission queueing.  Cold-vs-warm comparisons
-	// should use this rather than client-observed latency, which folds in
-	// queue wait and connection effects.
+	// parse and analysis (none when the server's prepared-request cache
+	// answers a repeated body), engine acquisition (including a cold
+	// build), and the batch run — excluding admission queueing and JSON
+	// decode.  Cold-vs-warm comparisons should use this rather than
+	// client-observed latency, which folds in queue wait and connection
+	// effects.
 	ServiceUS int64 `json:"service_us"`
 	// ColdEngine reports whether this request built the engine (first
 	// sighting of its axiom set since startup or since LRU reclamation).
@@ -150,13 +154,13 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// WriteJSON writes v as an indented JSON body with the given status.
+// WriteJSON writes v as a compact JSON body with the given status.  Every
+// endpoint answers through it; a human reading a response pipes it through
+// jq rather than making every machine client pay for indentation.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the client hanging up is its problem
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the client hanging up is its problem
 }
 
 // WriteJSONError writes the protocol's error body.
