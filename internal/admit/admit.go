@@ -180,10 +180,6 @@ func (c *Controller) Inflight() int64 { return c.gauge.Load() }
 // plus requests queued for a run slot.
 func (c *Controller) Backlog() int { return len(c.slots) }
 
-// NoteShed counts an externally decided shed (a router propagating a
-// backend's 429 sheds without TryAcquire having failed locally).
-func (c *Controller) NoteShed() { c.shed.Add(1) }
-
 // Counts returns the lifecycle counters: accepted, completed, shed,
 // refused-while-draining.
 func (c *Controller) Counts() (accepted, completed, shed, refused int64) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/axiom"
-	"repro/internal/pathexpr"
 )
 
 // Checker model-checks one axiom set against concrete heaps with the
@@ -18,7 +17,6 @@ import (
 // A Checker is immutable after construction and safe for concurrent use.
 type Checker struct {
 	set    *axiom.Set
-	alpha  *automata.Alphabet
 	axioms []checkedAxiom
 }
 
@@ -34,7 +32,7 @@ type checkedAxiom struct {
 func NewChecker(set *axiom.Set, graphFields ...string) *Checker {
 	fields := append(append([]string{}, set.Fields()...), graphFields...)
 	alpha := automata.NewAlphabet(fields...)
-	c := &Checker{set: set, alpha: alpha}
+	c := &Checker{set: set}
 	for _, a := range set.Axioms {
 		c.axioms = append(c.axioms, checkedAxiom{
 			ax: a,
@@ -133,11 +131,4 @@ func disjointSets(a, b map[Vertex]bool) bool {
 		}
 	}
 	return true
-}
-
-// EvalPath returns the denotation of v.e on g using the checker's alphabet
-// (e must mention only checker fields).  Exposed so sweep harnesses can
-// reuse the alphabet instead of rebuilding one per evaluation.
-func (c *Checker) EvalPath(g *Graph, v Vertex, e pathexpr.Expr) map[Vertex]bool {
-	return g.evalDFA(v, automata.MustCompile(e, c.alpha), g.Fields())
 }

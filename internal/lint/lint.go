@@ -280,9 +280,6 @@ func NewDriver(tel *telemetry.Set, passes ...Pass) *Driver {
 	return &Driver{passes: passes, tel: tel}
 }
 
-// Passes returns the driver's pass list in run order.
-func (d *Driver) Passes() []Pass { return d.passes }
-
 // SetWorkers sets the engine pool width for query-batching passes
 // (default 1, fully deterministic output).  Returns the driver for
 // chaining.

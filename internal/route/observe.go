@@ -37,8 +37,9 @@ type Statz struct {
 	Backends        []BackendStatz `json:"backends"`
 }
 
-// StatzSnapshot assembles the /statz body (exported for the cluster soaks
-// and the loadgen client).
+// StatzSnapshot assembles the /statz body (exported for aptserved's drain
+// summary and SIGQUIT dump, the benchmark's traced replay, and the cluster
+// soaks).
 func (rt *Router) StatzSnapshot() Statz {
 	accepted, completed, shed, refused := rt.adm.Counts()
 	z := Statz{

@@ -341,20 +341,6 @@ func (rt *Router) probe(addr string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// ProbeNow runs one synchronous probe pass (exported for tests and the
-// cluster smoke, which must not wait out the ticker).
-func (rt *Router) ProbeNow() {
-	rt.mu.Lock()
-	members := make([]*backend, 0, len(rt.backends))
-	for _, b := range rt.backends {
-		members = append(members, b)
-	}
-	rt.mu.Unlock()
-	for _, b := range members {
-		b.up.Store(rt.probe(b.addr))
-	}
-}
-
 // fingerprint computes the request's axiom-set fingerprint — the ring
 // placement key.  Raw mode parses the shipped axiom text; program mode
 // parses the program and collects its merged axiom set exactly as the
@@ -436,9 +422,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}()
 	rt.cRequests.Add(1)
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+	body, ok := wire.ReadBody(w, r, rt.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
 	var req wire.BatchRequest

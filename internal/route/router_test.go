@@ -559,6 +559,148 @@ func TestWarmHandoffOnRingChange(t *testing.T) {
 	}
 }
 
+// TestRingKeepsShardsWarm pins what sharding buys on this workload:
+// warm-engine capacity, not parallelism.  Two axiom sets placed by the ring
+// one per backend stay engine-warm across a 2-backend ring whose backends
+// each keep a single engine, while one backend of the same capacity
+// answering both sets evicts one for the other and rebuilds cold on every
+// request.  Verdicts must not depend on which topology answered.
+func TestRingKeepsShardsWarm(t *testing.T) {
+	newBackend := func() *httptest.Server {
+		ts := httptest.NewServer(serve.New(serve.Config{Workers: 1, MaxEngines: 1}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	addrs := []string{newBackend().URL, newBackend().URL}
+	ring := NewRing(addrs)
+
+	// Distinct child-field names give distinct fingerprints; keep the first
+	// candidate set each backend owns.
+	var reqs []wire.BatchRequest
+	var owners []string
+	taken := map[string]bool{}
+	for i := 0; len(reqs) < len(addrs); i++ {
+		if i == 1000 {
+			t.Fatalf("no set placed on every backend in 1000 candidates")
+		}
+		l, r := fmt.Sprintf("l%d", i), fmt.Sprintf("r%d", i)
+		set := axiom.BinaryTree(l, r)
+		set.StructName = fmt.Sprintf("BinaryTree%d", i)
+		owner := ring.Owner(set.Fingerprint64())
+		if taken[owner] {
+			continue
+		}
+		taken[owner] = true
+		owners = append(owners, owner)
+		reqs = append(reqs, wire.BatchRequest{
+			AxiomSet:     set.Source(),
+			AxiomSetName: set.StructName,
+			Raw: []wire.RawQuery{
+				{SHandle: "h", SPath: l, SField: "val", SWrite: true,
+					THandle: "h", TPath: r, TField: "val"},
+				{SHandle: "h", SPath: l + "+", SField: "val", SWrite: true,
+					THandle: "h", TPath: r, TField: "val"},
+			},
+		})
+	}
+
+	// drive touches every set once, then alternates over them for three
+	// rounds and returns how many of those requests built a cold engine,
+	// plus each set's results from the last round.
+	const rounds = 3
+	drive := func(base string, placed bool) (cold int, results [][]wire.QueryResult) {
+		results = make([][]wire.QueryResult, len(reqs))
+		for round := -1; round < rounds; round++ {
+			for i, req := range reqs {
+				resp, body := postBatch(t, base, req)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s: status %d (body %s)", base, resp.StatusCode, body)
+				}
+				if placed {
+					if got := resp.Header.Get("X-Apt-Backend"); got != owners[i] {
+						t.Fatalf("set %d went to %q, want its ring owner %q", i, got, owners[i])
+					}
+				}
+				var br wire.BatchResponse
+				if err := json.Unmarshal(body, &br); err != nil {
+					t.Fatalf("%s: response: %v", base, err)
+				}
+				if round >= 0 && br.Stats.ColdEngine {
+					cold++
+				}
+				results[i] = br.Results
+			}
+		}
+		return cold, results
+	}
+
+	rt := newRouter(t, Config{Backends: addrs})
+	rts := httptest.NewServer(rt)
+	defer rts.Close()
+	ringCold, ringResults := drive(rts.URL, true)
+	if ringCold != 0 {
+		t.Errorf("ring: %d of %d requests rebuilt a cold engine after first touch, want 0",
+			ringCold, rounds*len(reqs))
+	}
+
+	singleCold, singleResults := drive(newBackend().URL, false)
+	if singleCold != rounds*len(reqs) {
+		t.Errorf("single backend: %d of %d requests rebuilt a cold engine, want all — one engine slot cannot hold two sets",
+			singleCold, rounds*len(reqs))
+	}
+
+	for i := range reqs {
+		if len(ringResults[i]) != len(singleResults[i]) {
+			t.Fatalf("set %d: ring answered %d queries, single backend %d", i, len(ringResults[i]), len(singleResults[i]))
+		}
+		for j := range ringResults[i] {
+			if a, b := ringResults[i][j], singleResults[i][j]; a.Result != b.Result || a.Reason != b.Reason {
+				t.Errorf("set %d query %d: ring %s (%s), single %s (%s)", i, j, a.Result, a.Reason, b.Result, b.Reason)
+			}
+		}
+	}
+}
+
+// TestRouterOversizedBodyIs413: the router refuses a body one byte past
+// its MaxBodyBytes with 413 itself, so the backend never sees it and its
+// prepared-request cache stays empty; a body of exactly the cap is routed.
+func TestRouterOversizedBodyIs413(t *testing.T) {
+	const limit = 4096
+	backend := serve.New(serve.Config{Workers: 1, MaxBodyBytes: limit})
+	bts := httptest.NewServer(backend)
+	defer bts.Close()
+	rts := httptest.NewServer(newRouter(t, Config{Backends: []string{bts.URL}, MaxBodyBytes: limit}))
+	defer rts.Close()
+
+	body, err := json.Marshal(rawTreeReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(n int) (int, string) {
+		padded := append(append([]byte{}, body...), strings.Repeat(" ", n-len(body))...)
+		resp, err := http.Post(rts.URL+"/v1/batch", "application/json", bytes.NewReader(padded))
+		if err != nil {
+			t.Fatalf("POST /v1/batch: %v", err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(out)
+	}
+
+	for i := 0; i < 2; i++ {
+		if code, out := post(limit + 1); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("send %d of a %d-byte body: status = %d, want 413 (%s)", i, limit+1, code, out)
+		}
+	}
+	if z := backend.StatzSnapshot(); z.Accepted != 0 || z.PreparedEntries != 0 {
+		t.Errorf("backend saw oversized bodies: accepted %d, prepared_entries %d, want 0 and 0",
+			z.Accepted, z.PreparedEntries)
+	}
+	if code, out := post(limit); code != http.StatusOK {
+		t.Errorf("a %d-byte body: status = %d, want 200 (%s)", limit, code, out)
+	}
+}
+
 // TestRingChangeUnderLoad: concurrent traffic across several shards while
 // members join and leave.  Every request must get exactly one 200 verdict —
 // accepted == completed, nothing shed, nothing lost, nothing in flight at

@@ -46,7 +46,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -382,9 +381,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// A body seen before skips decode, parse, analysis and expansion: the
 	// prepared-request cache keys on the exact bytes.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		wire.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	body, ok := wire.ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
 	var svc0 time.Time
@@ -399,7 +397,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		svc0 = time.Now()
-		var code int
+		var (
+			code int
+			err  error
+		)
 		if p, code, err = s.prepare(&req, rt, root.ID()); err != nil {
 			wire.WriteJSONError(w, code, err.Error())
 			return
@@ -647,8 +648,8 @@ type Statz struct {
 	Engines         []EngineStatz `json:"engines"`
 }
 
-// StatzSnapshot assembles the /statz body (exported for the soak tests and
-// the loadgen client).
+// StatzSnapshot assembles the /statz body (exported for aptserved's drain
+// summary and the soak tests).
 func (s *Server) StatzSnapshot() Statz {
 	accepted, completed, shed, refused := s.adm.Counts()
 	z := Statz{

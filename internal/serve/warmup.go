@@ -14,9 +14,9 @@ import (
 // proof search, response encode — is several times slower than steady
 // state: lazily grown interner tables, first-touch heap pages, branch-cold
 // code.  Without this, that one-time cost lands on whichever request
-// arrives first and masquerades as engine cold-start in the cold/warm
-// latency split.  New drives a tiny synthetic request through a throwaway
-// server once per process, so boot time (not the first request) pays it.
+// arrives first and masquerades as engine cold-start.  New drives a tiny
+// synthetic request through a throwaway server once per process, so boot
+// time (not the first request) pays it.
 //
 // The synthetic program's struct, fields, and axioms are deliberately
 // unlike any real workload: warmup must heat the code paths, never a real

@@ -1,12 +1,12 @@
 // Package wire is the transport-neutral layer of the query plane: the JSON
 // request/response vocabulary of POST /v1/batch plus the small helpers both
-// sides of the wire share (JSON writers, millisecond clamping, traceparent
-// echo).  Everything that talks the protocol — the serving execution stack
-// (internal/serve), the cluster router (internal/route), the loadgen client,
-// and the scenario farm's cross-checker — depends on this package and on
-// nothing above it; wire itself depends only on stdlib and telemetry, never
-// on analysis or engines, so clients embed it without dragging the prover
-// in.
+// sides of the wire share (bounded body reads, JSON writers, millisecond
+// clamping, traceparent echo).  Everything that talks the protocol — the
+// serving execution stack (internal/serve), the cluster router
+// (internal/route), the repository benchmark, and the scenario farm's
+// cross-checker — depends on this package and on nothing above it; wire
+// itself depends only on stdlib and telemetry, never on analysis or
+// engines, so clients embed it without dragging the prover in.
 //
 // Two request shapes share the endpoint:
 //
@@ -27,6 +27,9 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -166,6 +169,22 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // WriteJSONError writes the protocol's error body.
 func WriteJSONError(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, ErrorResponse{Error: msg})
+}
+
+// ReadBody reads r's body, refusing more than limit bytes.  On failure it
+// has already answered: 413 when the body outgrew limit, 400 for any other
+// read error.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		WriteJSONError(w, code, fmt.Sprintf("read body: %v", err))
+		return nil, false
+	}
+	return body, true
 }
 
 // ClampMS converts a client-supplied millisecond budget to a duration in
