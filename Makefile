@@ -78,13 +78,15 @@ serve-smoke:
 	$(GO) test -run 'TestServerSmokeAndDrain' -v ./cmd/aptserved
 
 # Observability gate: the Prometheus exposition golden + validator, the
-# traceparent/span-tree tests, a 50-iteration race soak of the lock-free
-# flight recorder and sliding-window histogram, and the zero-allocation
-# guards for disabled tracing, warm cache hits and the prepared-request hit
-# path (which -race would skew, hence the separate non-race invocation).
+# traceparent/span-tree tests, the access log of server and router, the
+# router's one-trace-id-per-request check on hedged requests, a 50-iteration
+# race soak of the lock-free flight recorder and sliding-window histogram,
+# and the zero-allocation guards for disabled tracing, warm cache hits and
+# the prepared-request hit path (which -race would skew, hence the separate
+# non-race invocation).
 obs-check:
-	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestTraceparent|TestRequestTrace|TestMetricsPrometheus|TestAccessLog' \
-		./internal/telemetry ./internal/serve
+	$(GO) test -run 'TestWritePrometheus|TestValidatePrometheus|TestTraceparent|TestRequestTrace|TestMetricsPrometheus|TestAccessLog|TestRouterAccessLog|TestHedgeWins|TestHedgeLoses' \
+		./internal/telemetry ./internal/serve ./internal/route
 	$(GO) test -race -count=50 -run 'TestFlightRecorder|TestWindowHistogram' ./internal/telemetry
 	$(GO) test -run 'TestDisabledObservabilityAllocations|TestWarmHitAllocationBudget|TestPreparedHitAllocationBudget' \
 		./internal/telemetry ./internal/engine ./internal/serve

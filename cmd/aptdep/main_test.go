@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -76,18 +78,27 @@ func TestTraceJSONSchema(t *testing.T) {
 		lastSeq = seq
 		ev := m["ev"].(string)
 		events[ev]++
-		if ev == "prover.query" {
+		if ev == "prover.prove" {
 			for _, k := range []string{"dur_us", "theorem", "result", "steps", "peak_depth", "dfa_compiles", "cache_hits"} {
 				if _, ok := m[k]; !ok {
-					t.Errorf("prover.query missing %q: %s", k, ln)
+					t.Errorf("prover.prove missing %q: %s", k, ln)
 				}
 			}
 			if m["result"] != "proved" {
-				t.Errorf("prover.query result = %v, want proved", m["result"])
+				t.Errorf("prover.prove result = %v, want proved", m["result"])
 			}
 		}
 	}
-	for _, ev := range []string{"pipeline.phase", "analysis.analyze", "prover.query",
+	// Exactly one prover.prove line per proof search: as many as the
+	// prover.queries counter the -stats summary reports, and no separate
+	// prover.query event.
+	if m := regexp.MustCompile(`prover\.queries\s+(\d+)`).FindStringSubmatch(stderr.String()); m == nil {
+		t.Errorf("stderr lacks the prover.queries counter:\n%s", stderr.String())
+	} else if n, _ := strconv.Atoi(m[1]); events["prover.prove"] != n || events["prover.query"] != 0 {
+		t.Errorf("trace has %d prover.prove and %d prover.query lines for %d proof searches; want one prover.prove each",
+			events["prover.prove"], events["prover.query"], n)
+	}
+	for _, ev := range []string{"pipeline.phase", "analysis.analyze", "prover.prove",
 		"prover.suffix_split", "automata.compile", "core.deptest"} {
 		if events[ev] == 0 {
 			t.Errorf("no %s events in trace", ev)

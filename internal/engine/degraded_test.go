@@ -16,13 +16,13 @@ import (
 // "why are my answers Maybe" undiagnosable from metrics, so every sub-test
 // asserts its own counter moved and the other two stayed at zero.
 
-// degradedHarness runs one batch with a trace scope attached and returns
+// degradedHarness runs one batch under a request trace's span and returns
 // the engine stats, telemetry counters, and per-reason trace counts.
 func degradedHarness(t *testing.T, ctx context.Context, queries []core.Query, perQuery time.Duration) (Stats, map[string]int64, [telemetry.NumDegradeReasons]int64) {
 	t.Helper()
 	tel := telemetry.New(telemetry.NewRegistry(), nil)
 	rt := telemetry.NewRequestTrace(telemetry.NewTraceContext())
-	ctx = telemetry.WithTraceScope(ctx, rt, rt.Context().SpanID)
+	ctx = telemetry.ContextWithSpan(ctx, rt.Begin("serve.batch"))
 	eng := New(WorkloadWindows()[0], Options{Workers: 2, Telemetry: tel})
 	for i, out := range eng.BatchTimeout(ctx, queries, perQuery) {
 		if out.Result != core.Maybe {

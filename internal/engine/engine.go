@@ -246,17 +246,14 @@ func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuer
 	e.cBatches.Add(1)
 	e.cQueries.Add(int64(len(queries)))
 	results := make([]core.Outcome, len(queries))
-	rt, parent := telemetry.TraceScope(ctx)
+	parent := telemetry.SpanFromContext(ctx)
 	e.pool.ForEachChunk(len(queries), func(lo, hi int) {
-		ws := rt.StartSpan("engine.worker", parent)
+		ws := parent.Child("engine.worker")
 		guard := &interruptGuard{ctx: ctx}
 		opts := e.opts.Prover
 		opts.DFACache = e.dfas
 		opts.Interrupt = guard.tripped
-		if rt != nil {
-			opts.Trace = rt
-			opts.TraceParent = ws.ID()
-		}
+		opts.Parent = ws
 		tester := core.NewTester(e.axioms, opts).SetProofMemo(e.memo)
 		tester.VerifyProofs = verify
 		for i := lo; i < hi; i++ {
@@ -268,9 +265,9 @@ func (e *Engine) BatchTimeout(ctx context.Context, queries []core.Query, perQuer
 }
 
 // degrade books one query's degradation under reason — on the engine's
-// split counters and, when the batch context carries a trace scope, on the
-// request's degradation profile (which is what marks the request for the
-// flight recorder).
+// split counters and, when the batch context carries a request trace's
+// span, on the request's degradation profile (which is what marks the
+// request for the flight recorder).
 func (e *Engine) degrade(ctx context.Context, reason telemetry.DegradeReason) {
 	switch reason {
 	case telemetry.DegradeQueryTimeout:
@@ -283,9 +280,7 @@ func (e *Engine) degrade(ctx context.Context, reason telemetry.DegradeReason) {
 		e.canceled.Add(1)
 		e.cCanceled.Add(1)
 	}
-	if rt, _ := telemetry.TraceScope(ctx); rt != nil {
-		rt.NoteDegraded(reason)
-	}
+	telemetry.SpanFromContext(ctx).RequestTrace().NoteDegraded(reason)
 }
 
 // runOne answers one query on the worker's tester, degrading to Maybe with

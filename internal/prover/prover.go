@@ -41,16 +41,15 @@ type Options struct {
 	// Maybe, never to an unsound No.  The engine uses this for context
 	// cancellation and per-query timeouts.
 	Interrupt func() bool
-	// Trace, when non-nil, receives one request-scoped span per top-level
-	// Prove call, parented under TraceParent — the engine sets both so a
-	// served request's span tree reaches all the way down to the proof
-	// searches (including the ones its interrupt hook cut short).  Nil (the
-	// default) costs one pointer check per query.
-	Trace       *telemetry.RequestTrace
-	TraceParent telemetry.SpanID
-	// Telemetry receives per-query spans, rule-application trace events, and
-	// aggregate search counters.  Nil (the default) disables instrumentation
-	// at ~zero cost on the hot path.
+	// Parent, when live, is the span each top-level Prove call's
+	// "prover.prove" span parents under — the engine passes its worker span,
+	// so a served request's span tree reaches all the way down to the proof
+	// searches (including the ones its interrupt hook cut short).  Without
+	// one the span is a root from Telemetry's trace writer.
+	Parent telemetry.Span
+	// Telemetry receives per-query spans (absent a Parent), rule-application
+	// trace events, and aggregate search counters.  Nil (the default)
+	// disables instrumentation at ~zero cost on the hot path.
 	Telemetry *telemetry.Set
 }
 
@@ -187,14 +186,16 @@ func (p *Prover) Prove(form Form, x, y pathexpr.Expr) *Proof {
 		alpha:   automata.NewAlphabet(append(p.axioms.Fields(), pathexpr.Fields(x, y)...)...),
 		traceOn: p.tel.TraceEnabled(),
 	}
-	timed := r.traceOn || p.m.queryTimeNS != nil
+	timed := p.m.queryTimeNS != nil
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	var qspan telemetry.ActiveSpan
-	if p.opts.Trace != nil {
-		qspan = p.opts.Trace.StartSpan("prover.prove", p.opts.TraceParent)
+	var sp telemetry.Span
+	if p.opts.Parent.ID().IsZero() {
+		sp = p.tel.Begin("prover.prove")
+	} else {
+		sp = p.opts.Parent.Child("prover.prove")
 	}
 	compiles0 := p.dfas.Stats().Compiles
 	proof := &Proof{Theorem: g.String()}
@@ -222,28 +223,18 @@ func (p *Prover) Prove(form Form, x, y pathexpr.Expr) *Proof {
 	}
 	p.m.peakDepth.Observe(int64(r.peakDepth))
 	p.m.querySteps.Observe(int64(r.stats.ProveCalls))
-	if p.opts.Trace != nil {
-		qspan.End(
-			telemetry.String("theorem", proof.Theorem),
-			telemetry.String("result", proof.Result.String()),
-			telemetry.Int("steps", proof.Stats.StepsUsed),
-			telemetry.Int("dfa_compiles", proof.Stats.DFACompiles))
-	}
+	sp.End(
+		telemetry.String("theorem", proof.Theorem),
+		telemetry.String("result", proof.Result.String()),
+		telemetry.Int("steps", proof.Stats.StepsUsed),
+		telemetry.Int("budget", p.opts.MaxSteps),
+		telemetry.Int("peak_depth", proof.Stats.PeakDepth),
+		telemetry.Int("cache_hits", proof.Stats.CacheHits),
+		telemetry.Int("dfa_compiles", proof.Stats.DFACompiles))
 	if timed {
 		dur := time.Since(t0)
 		p.m.queryTimeNS.Observe(dur.Nanoseconds())
 		p.m.queryWin.Observe(dur.Nanoseconds())
-		if r.traceOn {
-			p.tel.Emit("prover.query",
-				telemetry.DurUS("dur_us", dur),
-				telemetry.String("theorem", proof.Theorem),
-				telemetry.String("result", proof.Result.String()),
-				telemetry.Int("steps", proof.Stats.StepsUsed),
-				telemetry.Int("budget", p.opts.MaxSteps),
-				telemetry.Int("peak_depth", proof.Stats.PeakDepth),
-				telemetry.Int("cache_hits", proof.Stats.CacheHits),
-				telemetry.Int("dfa_compiles", proof.Stats.DFACompiles))
-		}
 	}
 	return proof
 }

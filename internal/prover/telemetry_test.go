@@ -80,16 +80,18 @@ func TestProverTelemetry(t *testing.T) {
 			t.Fatalf("trace line not JSON: %v\n%s", err, ln)
 		}
 		events[m["ev"].(string)]++
-		if m["ev"] == "prover.query" {
-			for _, k := range []string{"dur_us", "theorem", "result", "steps", "peak_depth", "dfa_compiles"} {
+		if m["ev"] == "prover.prove" {
+			for _, k := range []string{"dur_us", "theorem", "result", "steps", "peak_depth", "dfa_compiles",
+				"budget", "cache_hits", "span_id"} {
 				if _, ok := m[k]; !ok {
-					t.Errorf("prover.query span missing %q: %v", k, m)
+					t.Errorf("prover.prove span missing %q: %v", k, m)
 				}
 			}
 		}
 	}
-	if events["prover.query"] != 2 {
-		t.Errorf("prover.query spans = %d, want 2", events["prover.query"])
+	if events["prover.prove"] != 2 || events["prover.query"] != 0 {
+		t.Errorf("prover.prove spans = %d, prover.query events = %d; want one span per query and no events",
+			events["prover.prove"], events["prover.query"])
 	}
 	if events["prover.suffix_split"] == 0 {
 		t.Error("no prover.suffix_split events")

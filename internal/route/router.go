@@ -59,7 +59,7 @@ type Config struct {
 	// Telemetry receives the router's counters (nil disables).
 	Telemetry *telemetry.Set
 	// AccessLog, when non-nil, receives one JSONL "http_access" line per
-	// routed request.
+	// request, whatever its endpoint and status.
 	AccessLog *telemetry.TraceWriter
 }
 
@@ -189,16 +189,13 @@ func New(cfg Config) *Router {
 	return rt
 }
 
-// ServeHTTP dispatches with the same panic isolation the backend server
-// uses.
+// ServeHTTP dispatches with the same panic isolation and access log the
+// backend server uses; a forwarded answer's line names its backend.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			rt.panics.Add(1)
-			wire.WriteJSONError(w, http.StatusInternalServerError, "internal error")
-		}
-	}()
-	rt.mux.ServeHTTP(w, r)
+	wire.ServeLogged(w, r, rt.access, rt.mux, func(any) string {
+		rt.panics.Add(1)
+		return "internal error"
+	})
 }
 
 // Drain stops admissions, waits for in-flight forwards, and stops the
@@ -433,7 +430,14 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	fp := rt.fingerprint(&req)
 	rt.noteFP(fp)
-	res := rt.forward(r.Context(), fp, body, r.Header.Get("traceparent"))
+	// One trace id per routed request: join the client's trace, or mint one
+	// for a headerless (or malformed) request, and send that same value on
+	// every attempt so a hedge or failover lands in the same trace.
+	tc, ok := telemetry.ParseTraceparent(r.Header.Get("traceparent"))
+	if !ok {
+		tc = telemetry.NewTraceContext()
+	}
+	res := rt.forward(r.Context(), fp, body, tc.Traceparent())
 	if res == nil {
 		wire.WriteJSONError(w, http.StatusBadGateway, "no backend available")
 		return
@@ -449,22 +453,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Apt-Backend", res.addr)
 	w.WriteHeader(res.status)
 	w.Write(res.body) //nolint:errcheck // client hangup
-	rt.logAccess(r, res, time.Since(start))
-}
-
-func (rt *Router) logAccess(r *http.Request, res *forwardResult, dur time.Duration) {
-	if rt.access == nil {
-		return
-	}
-	rt.access.Emit("http_access",
-		telemetry.String("method", r.Method),
-		telemetry.String("path", r.URL.Path),
-		telemetry.Int("status", res.status),
-		telemetry.Int64("bytes", int64(len(res.body))),
-		telemetry.DurUS("dur_us", dur),
-		telemetry.String("remote", r.RemoteAddr),
-		telemetry.String("backend", res.addr),
-	)
 }
 
 // forwardResult is one backend's buffered answer.
@@ -590,9 +578,7 @@ func (rt *Router) attempt(ctx context.Context, b *backend, body []byte, tracepar
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if traceparent != "" {
-		req.Header.Set("traceparent", traceparent)
-	}
+	req.Header.Set("traceparent", traceparent)
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {

@@ -233,6 +233,9 @@ type hedgePair struct {
 	bGotReq   chan struct{}
 	bGotOnce  *sync.Once
 	req       wire.BatchRequest
+	// traces receives the traceparent of every /v1/batch either backend
+	// is sent.
+	traces chan string
 }
 
 // newHedgePair builds the harness.  aH and bH handle /v1/batch on the owner
@@ -241,12 +244,17 @@ type hedgePair struct {
 // communication).
 func newHedgePair(t *testing.T, aH, bH func(p *hedgePair, w http.ResponseWriter, r *http.Request)) *hedgePair {
 	t.Helper()
-	p := &hedgePair{aCanceled: make(chan struct{}, 1), bGotReq: make(chan struct{}), bGotOnce: new(sync.Once)}
+	p := &hedgePair{aCanceled: make(chan struct{}, 1), bGotReq: make(chan struct{}), bGotOnce: new(sync.Once),
+		traces: make(chan string, 2)}
 	mk := func(h func(p *hedgePair, w http.ResponseWriter, r *http.Request)) *httptest.Server {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/healthz" {
 				fmt.Fprintln(w, "ok")
 				return
+			}
+			select {
+			case p.traces <- r.Header.Get("traceparent"):
+			default:
 			}
 			h(p, w, r)
 		}))
@@ -278,6 +286,29 @@ func newHedgePair(t *testing.T, aH, bH func(p *hedgePair, w http.ResponseWriter,
 }
 
 func (p *hedgePair) noteBGotReq() { p.bGotOnce.Do(func() { close(p.bGotReq) }) }
+
+// checkOneTrace asserts that the owner and the hedge were sent the same,
+// valid trace id — minted by the router, since the client sent none.
+func (p *hedgePair) checkOneTrace(t *testing.T) {
+	t.Helper()
+	var ids []string
+	for len(ids) < 2 {
+		select {
+		case h := <-p.traces:
+			tc, ok := telemetry.ParseTraceparent(h)
+			if !ok {
+				t.Errorf("backend was sent traceparent %q, want a valid one", h)
+				return
+			}
+			ids = append(ids, tc.TraceID.String())
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of 2 backends were sent the request", len(ids))
+		}
+	}
+	if ids[0] != ids[1] {
+		t.Errorf("owner and hedge got trace ids %s and %s, want one trace per routed request", ids[0], ids[1])
+	}
+}
 
 func okBody(who string) string {
 	return fmt.Sprintf(`{"results":[],"dependent":false,"stats":{"axiom_set":%q}}`, who)
@@ -324,6 +355,7 @@ func TestHedgeWins(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Error("losing attempt was never canceled")
 	}
+	p.checkOneTrace(t)
 	z := rt.StatzSnapshot()
 	if z.HedgesWon != 1 || z.HedgesLost != 0 || z.HedgesSpared != 0 {
 		t.Errorf("hedge outcomes won=%d lost=%d spared=%d, want exactly one won", z.HedgesWon, z.HedgesLost, z.HedgesSpared)
@@ -360,6 +392,7 @@ func TestHedgeLoses(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "owner") {
 		t.Fatalf("status=%d body=%s, want the owner's 200", resp.StatusCode, body)
 	}
+	p.checkOneTrace(t)
 	z := rt.StatzSnapshot()
 	if z.HedgesWon != 0 || z.HedgesLost != 1 || z.HedgesSpared != 0 {
 		t.Errorf("hedge outcomes won=%d lost=%d spared=%d, want exactly one lost", z.HedgesWon, z.HedgesLost, z.HedgesSpared)
@@ -811,4 +844,94 @@ func TestRouterMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// TestRouterAccessLog: the router writes one http_access line per request
+// whatever the endpoint and status — a forwarded batch (naming its backend
+// and carrying the backend's traceparent), a wrong method, an oversized
+// body and a /metrics scrape.
+func TestRouterAccessLog(t *testing.T) {
+	const limit = 4096
+	backend := newBackendTS(t)
+	var buf syncBuffer
+	rts := httptest.NewServer(newRouter(t, Config{
+		Backends: []string{backend.URL}, MaxBodyBytes: limit, AccessLog: telemetry.NewTraceWriter(&buf),
+	}))
+	defer rts.Close()
+
+	if resp, body := postBatch(t, rts.URL, rawTreeReq()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d (%s)", resp.StatusCode, body)
+	}
+	for _, send := range []func() (*http.Response, error){
+		func() (*http.Response, error) { return http.Get(rts.URL + "/v1/batch") },
+		func() (*http.Response, error) {
+			return http.Post(rts.URL+"/v1/batch", "application/json", strings.NewReader(strings.Repeat(" ", limit+1)))
+		},
+		func() (*http.Response, error) { return http.Get(rts.URL + "/metrics") },
+	} {
+		resp, err := send()
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+	}
+
+	type line struct {
+		Ev          string `json:"ev"`
+		Method      string `json:"method"`
+		Path        string `json:"path"`
+		Status      int    `json:"status"`
+		Bytes       int64  `json:"bytes"`
+		Traceparent string `json:"traceparent"`
+		Backend     string `json:"backend"`
+	}
+	var lines []line
+	for _, raw := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var l line
+		if err := json.Unmarshal([]byte(raw), &l); err != nil {
+			t.Fatalf("access log line %q: %v", raw, err)
+		}
+		if l.Ev != "http_access" {
+			t.Errorf("line event = %q, want http_access", l.Ev)
+		}
+		lines = append(lines, l)
+	}
+	if len(lines) != 4 {
+		t.Fatalf("access log has %d lines, want 4:\n%s", len(lines), buf.String())
+	}
+	if l := lines[0]; l.Method != "POST" || l.Path != "/v1/batch" || l.Status != http.StatusOK || l.Bytes == 0 ||
+		l.Backend != backend.URL {
+		t.Errorf("batch line = %+v, want a 200 naming backend %s", l, backend.URL)
+	}
+	if _, ok := telemetry.ParseTraceparent(lines[0].Traceparent); !ok {
+		t.Errorf("batch line traceparent %q does not parse", lines[0].Traceparent)
+	}
+	for i, want := range []struct {
+		path   string
+		status int
+	}{{"/v1/batch", http.StatusMethodNotAllowed}, {"/v1/batch", http.StatusRequestEntityTooLarge}, {"/metrics", http.StatusOK}} {
+		if l := lines[i+1]; l.Path != want.path || l.Status != want.status || l.Backend != "" {
+			t.Errorf("line %d = %+v, want %s answered %d by the router itself", i+1, l, want.path, want.status)
+		}
+	}
+}
+
+// syncBuffer lets the test read the access log while the router may still
+// be writing it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

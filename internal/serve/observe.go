@@ -12,60 +12,10 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the server's observability surface: the statusWriter that
-// feeds the structured access log, the flight-recorder hookup, and the
-// Prometheus rendering of the server-level and per-axiom-set state that
-// lives outside the telemetry registry (admission atomics, pool contents,
-// split degraded counters).
-
-// statusWriter records the status code and body size a handler produced,
-// for the access log and the flight recorder's metadata.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += int64(n)
-	return n, err
-}
-
-// Status returns the written status (200 when the handler never set one).
-func (w *statusWriter) Status() int {
-	if w.status == 0 {
-		return http.StatusOK
-	}
-	return w.status
-}
-
-// logAccess emits one structured access-log line (JSONL via TraceWriter);
-// a nil access writer disables it.
-func (s *Server) logAccess(sw *statusWriter, r *http.Request, dur time.Duration) {
-	if s.access == nil {
-		return
-	}
-	s.access.Emit("http_access",
-		telemetry.String("method", r.Method),
-		telemetry.String("path", r.URL.Path),
-		telemetry.Int("status", sw.Status()),
-		telemetry.Int64("bytes", sw.bytes),
-		telemetry.DurUS("dur_us", dur),
-		telemetry.String("remote", r.RemoteAddr),
-		telemetry.String("traceparent", sw.Header().Get("traceparent")),
-	)
-}
+// This file is the server's observability surface: the flight-recorder
+// hookup and the Prometheus rendering of the server-level and
+// per-axiom-set state that lives outside the telemetry registry (admission
+// atomics, pool contents, split degraded counters).
 
 // flightMeta is the request context a FlightRecord carries beyond its span
 // tree: what ran, where, and the request's cache-hit deltas (best-effort
@@ -105,7 +55,7 @@ func (s *Server) recordFlight(w http.ResponseWriter, rt *telemetry.RequestTrace,
 		}
 		if meta != nil {
 			m := *meta
-			if sw, ok := w.(*statusWriter); ok {
+			if sw, ok := w.(*wire.StatusWriter); ok {
 				m.Status = sw.Status()
 			} else {
 				m.Status = http.StatusOK

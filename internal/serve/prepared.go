@@ -48,7 +48,7 @@ type prepared struct {
 
 // endSpan closes the preparation span with the attributes both the miss and
 // the hit path report.
-func (p *prepared) endSpan(sp telemetry.ActiveSpan, cached bool) {
+func (p *prepared) endSpan(sp telemetry.Span, cached bool) {
 	sp.End(p.label, telemetry.Int("queries", len(p.queries)), telemetry.Bool("cached", cached))
 }
 

@@ -298,23 +298,14 @@ func (s *Server) replayWarm(replays []automata.ArtifactReplay) {
 // the server keeps serving.  Every request — panicking ones included —
 // gets one access-log line on the way out.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	sw := &statusWriter{ResponseWriter: w}
-	start := time.Now()
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.panics.Add(1)
-			s.cPanics.Add(1)
-			msg := "internal error"
-			if wp, ok := rec.(*parallel.WorkerPanic); ok {
-				msg = fmt.Sprintf("worker panic: %v", wp.Value)
-			}
-			// Best effort: if the handler already wrote a partial body this
-			// write fails silently, which is all HTTP offers.
-			wire.WriteJSONError(sw, http.StatusInternalServerError, msg)
+	wire.ServeLogged(w, r, s.access, s.mux, func(rec any) string {
+		s.panics.Add(1)
+		s.cPanics.Add(1)
+		if wp, ok := rec.(*parallel.WorkerPanic); ok {
+			return fmt.Sprintf("worker panic: %v", wp.Value)
 		}
-		s.logAccess(sw, r, time.Since(start))
-	}()
-	s.mux.ServeHTTP(sw, r)
+		return "internal error"
+	})
 }
 
 // Drain stops admitting requests and waits for every in-flight one to be
@@ -338,7 +329,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		tc = telemetry.NewTraceContext()
 	}
 	rt := telemetry.NewRequestTrace(tc)
-	root := rt.StartSpan("serve.request", tc.SpanID)
+	root := rt.Begin("serve.request")
 	w.Header().Set("traceparent",
 		telemetry.TraceContext{TraceID: tc.TraceID, SpanID: root.ID(), Flags: tc.Flags}.Traceparent())
 	// Admission: a token covers both the run slot and the bounded queue in
@@ -370,7 +361,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Wait for a run slot.  Admitted requests finish even during a drain;
 	// only the client hanging up aborts the wait.
-	qsp := rt.StartSpan("serve.admission", root.ID())
+	qsp := root.Child("serve.admission")
 	if !s.adm.AcquireRun(r.Context()) {
 		wire.WriteJSONError(w, http.StatusServiceUnavailable, "client canceled while queued")
 		return
@@ -389,7 +380,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	p := s.prepared.get(body)
 	if p != nil {
 		svc0 = time.Now()
-		p.endSpan(rt.StartSpan(p.span, root.ID()), true)
+		p.endSpan(root.Child(p.span), true)
 	} else {
 		var req wire.BatchRequest
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
@@ -401,28 +392,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			code int
 			err  error
 		)
-		if p, code, err = s.prepare(&req, rt, root.ID()); err != nil {
+		if p, code, err = s.prepare(&req, root); err != nil {
 			wire.WriteJSONError(w, code, err.Error())
 			return
 		}
 		s.prepared.put(body, p)
 	}
 	var resp *wire.BatchResponse
-	resp, meta = s.runBatch(r.Context(), p, rt, root.ID(), svc0)
+	resp, meta = s.runBatch(r.Context(), p, root, svc0)
 	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // prepare turns one decoded batch request into its prepared form, or an
 // error with the HTTP status to answer it.  The preparation span parents
 // under parent.
-func (s *Server) prepare(req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*prepared, int, error) {
+func (s *Server) prepare(req *wire.BatchRequest, parent telemetry.Span) (*prepared, int, error) {
 	if len(req.Raw) > 0 {
-		return s.prepareRaw(req, rt, parent)
+		return s.prepareRaw(req, parent)
 	}
 	if len(req.Queries) == 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("no queries")
 	}
-	asp := rt.StartSpan("serve.analyze", parent)
+	asp := parent.Child("serve.analyze")
 	prog, err := lang.Parse(req.Program)
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("program: %v", err)
@@ -461,7 +452,7 @@ func (s *Server) prepare(req *wire.BatchRequest, rt *telemetry.RequestTrace, par
 // path routed cluster traffic takes when the client already holds analysis
 // results (and the differential suite's way of replaying engine workloads
 // through HTTP byte-identically).
-func (s *Server) prepareRaw(req *wire.BatchRequest, rt *telemetry.RequestTrace, parent telemetry.SpanID) (*prepared, int, error) {
+func (s *Server) prepareRaw(req *wire.BatchRequest, parent telemetry.Span) (*prepared, int, error) {
 	if len(req.Queries) > 0 || req.Program != "" {
 		return nil, http.StatusBadRequest, fmt.Errorf("raw queries exclude program/queries fields")
 	}
@@ -469,7 +460,7 @@ func (s *Server) prepareRaw(req *wire.BatchRequest, rt *telemetry.RequestTrace, 
 		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("%d raw queries exceed the per-request limit of %d", len(req.Raw), s.cfg.MaxQueries)
 	}
-	asp := rt.StartSpan("serve.rawparse", parent)
+	asp := parent.Child("serve.rawparse")
 	name := req.AxiomSetName
 	if name == "" {
 		name = "raw"
@@ -512,11 +503,10 @@ func newPrepared(req *wire.BatchRequest, ax *axiom.Set, queries []core.Query, sp
 
 // runBatch is the shared tail of both request modes and both cache paths:
 // acquire the warm engine, run the prepared queries under the request
-// deadline, and assemble the response and flight metadata.  svc0 marks the
-// start of service time.
-func (s *Server) runBatch(ctx context.Context, p *prepared, rt *telemetry.RequestTrace, parent telemetry.SpanID,
-	svc0 time.Time) (*wire.BatchResponse, *flightMeta) {
-
+// deadline, and assemble the response and flight metadata.  The batch span
+// parents under parent, whose request trace books the degradations the
+// response reports.  svc0 marks the start of service time.
+func (s *Server) runBatch(ctx context.Context, p *prepared, parent telemetry.Span, svc0 time.Time) (*wire.BatchResponse, *flightMeta) {
 	ax := p.ax
 	eng, cold := s.pool.Get(ax)
 	deadline := wire.ClampMS(p.deadlineMS, s.cfg.MaxDeadline)
@@ -526,8 +516,8 @@ func (s *Server) runBatch(ctx context.Context, p *prepared, rt *telemetry.Reques
 	}
 	bctx, cancel := context.WithTimeout(ctx, deadline)
 	defer cancel()
-	bsp := rt.StartSpan("serve.batch", parent)
-	bctx = telemetry.WithTraceScope(bctx, rt, bsp.ID())
+	bsp := parent.Child("serve.batch")
+	bctx = telemetry.ContextWithSpan(bctx, bsp)
 
 	st0 := eng.Stats()
 	start := time.Now()
@@ -551,6 +541,7 @@ func (s *Server) runBatch(ctx context.Context, p *prepared, rt *telemetry.Reques
 			resp.Dependent = true
 		}
 	}
+	rt := parent.RequestTrace()
 	deg := rt.DegradedCounts()
 	resp.Stats = wire.BatchStats{
 		Queries:         len(outs),

@@ -9,17 +9,18 @@ import (
 )
 
 // TestDisabledObservabilityAllocations is the allocation-regression guard
-// for the "nil is off" discipline: with tracing disabled (nil *RequestTrace)
+// for the "nil is off" discipline: with tracing disabled (zero Spans)
 // and the flight recorder's floor above the request, the per-query and
 // per-request hot paths must not allocate at all.  Gated out under the race
 // detector, whose instrumentation adds allocations of its own.
 func TestDisabledObservabilityAllocations(t *testing.T) {
 	var rt *RequestTrace
 	if got := testing.AllocsPerRun(200, func() {
-		sp := rt.StartSpan("engine.worker", SpanID{})
+		sp := rt.Begin("serve.request")
+		sp.Child("engine.worker").End(Int("queries", 1))
 		sp.End()
 	}); got > 0 {
-		t.Errorf("nil RequestTrace StartSpan/End allocates %.1f per call, want 0", got)
+		t.Errorf("nil RequestTrace Begin/Child/End allocates %.1f per call, want 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		rt.NoteDegraded(DegradeQueryTimeout)
@@ -29,11 +30,13 @@ func TestDisabledObservabilityAllocations(t *testing.T) {
 
 	ctx := context.Background()
 	if got := testing.AllocsPerRun(200, func() {
-		if rt, _ := TraceScope(ctx); rt != nil {
-			t.Fatal("bare context carries a trace scope")
+		sp := SpanFromContext(ctx)
+		if sp.RequestTrace() != nil {
+			t.Fatal("bare context carries a request trace")
 		}
+		sp.RequestTrace().NoteDegraded(DegradeCanceled)
 	}); got > 0 {
-		t.Errorf("TraceScope on a bare context allocates %.1f per call, want 0", got)
+		t.Errorf("SpanFromContext on a bare context allocates %.1f per call, want 0", got)
 	}
 
 	// Flight recorder fast path: non-degraded requests below the floor

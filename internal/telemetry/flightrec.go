@@ -18,9 +18,10 @@ import (
 // The fast path — a request that is neither degraded nor slower than the
 // current K-th slowest — is one atomic load and a compare: no locks, no
 // allocations (the record is built by a callback that only runs when the
-// request is retained; guarded by TestObservabilityAllocs).  The degraded
-// ring is lock-free (atomic cursor + atomic slot pointers); only the small
-// K-slowest set takes a mutex, and only when a request actually qualifies.
+// request is retained; guarded by TestDisabledObservabilityAllocations).
+// The degraded ring is lock-free (atomic cursor + atomic slot pointers);
+// only the small K-slowest set takes a mutex, and only when a request
+// actually qualifies.
 //
 // A nil *FlightRecorder is a valid, disabled recorder.
 

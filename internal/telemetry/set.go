@@ -33,14 +33,6 @@ func (s *Set) Metrics() *Registry {
 	return s.metrics
 }
 
-// Trace returns the trace writer (nil when disabled).
-func (s *Set) Trace() *TraceWriter {
-	if s == nil {
-		return nil
-	}
-	return s.trace
-}
-
 // TraceEnabled reports whether trace events will be written.  Hot paths
 // guard expensive attribute construction (goal rendering, time stamps)
 // behind this.
@@ -67,12 +59,13 @@ func (s *Set) Emit(event string, attrs ...Attr) {
 	s.trace.Emit(event, attrs...)
 }
 
-// Begin opens a span (the zero no-op Span when tracing is disabled).
+// Begin opens a root span written to the trace writer when it ends (the
+// zero no-op Span when tracing is disabled).
 func (s *Set) Begin(event string) Span {
-	if s == nil {
+	if s == nil || s.trace == nil {
 		return Span{}
 	}
-	return s.trace.Begin(event)
+	return openSpan(nil, s.trace, event, SpanID{})
 }
 
 // PhaseTiming is one completed pipeline phase.
@@ -82,8 +75,8 @@ type PhaseTiming struct {
 }
 
 // Phases times named sequential pipeline phases (parse, analyze, query, …),
-// recording each as a trace event and a *_ns histogram, and keeps the
-// ordered wall-clock list for the -stats summary.  Works with a nil Set
+// recording each as a "pipeline.phase" span and a *_ns histogram, and keeps
+// the ordered wall-clock list for the -stats summary.  Works with a nil Set
 // (timings are still collected locally).  Not safe for concurrent use.
 type Phases struct {
 	tel *Set
@@ -95,12 +88,13 @@ func NewPhases(tel *Set) *Phases { return &Phases{tel: tel} }
 
 // Run times f as the named phase, propagating its error.
 func (p *Phases) Run(name string, f func() error) error {
+	sp := p.tel.Begin("pipeline.phase")
 	start := time.Now()
 	err := f()
 	d := time.Since(start)
 	p.rec = append(p.rec, PhaseTiming{Name: name, Dur: d})
 	p.tel.Histogram("pipeline." + name + "_ns").Observe(d.Nanoseconds())
-	p.tel.Emit("pipeline.phase", String("phase", name), DurUS("dur_us", d), Bool("ok", err == nil))
+	sp.End(String("phase", name), Bool("ok", err == nil))
 	return err
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -73,7 +74,7 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	set.Max("x").Observe(1)
 	set.Histogram("x").Observe(1)
 	set.Emit("ev", Int("a", 1))
-	set.Begin("ev").End()
+	set.Begin("ev").Child("child").End(Int("a", 1))
 	if set.Enabled() || set.TraceEnabled() {
 		t.Error("nil set reports enabled")
 	}
@@ -82,8 +83,8 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 	reg.PublishExpvar("never")
 	tw.Emit("ev")
-	tw.Begin("ev").End()
-	if tw.Enabled() || tw.Err() != nil {
+	New(nil, tw).Begin("ev").End()
+	if tw.Err() != nil {
 		t.Error("nil trace writer misbehaves")
 	}
 	snap := reg.Snapshot()
@@ -105,13 +106,14 @@ func TestTraceWriterJSONL(t *testing.T) {
 		Bool("yes", true),
 		Bool("no", false),
 	)
-	sp := tw.Begin("span")
+	sp := New(nil, tw).Begin("span")
+	sp.Child("child").End()
 	time.Sleep(time.Millisecond)
 	sp.End(String("k", "v"))
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines, want 4", len(lines))
 	}
 	var lastSeq float64
 	for i, ln := range lines {
@@ -138,8 +140,11 @@ func TestTraceWriterJSONL(t *testing.T) {
 		attrs["f"] != 1.5 || attrs["nan"] != nil || attrs["yes"] != true || attrs["no"] != false {
 		t.Errorf("attr round-trip failed: %v", attrs)
 	}
-	var span map[string]any
-	if err := json.Unmarshal([]byte(lines[2]), &span); err != nil {
+	var child, span map[string]any
+	if err := json.Unmarshal([]byte(lines[2]), &child); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(lines[3]), &span); err != nil {
 		t.Fatal(err)
 	}
 	if span["ev"] != "span" || span["k"] != "v" {
@@ -147,6 +152,12 @@ func TestTraceWriterJSONL(t *testing.T) {
 	}
 	if dur, ok := span["dur_us"].(float64); !ok || dur < 500 {
 		t.Errorf("span dur_us = %v, want ≥ 500µs", span["dur_us"])
+	}
+	if id, _ := span["span_id"].(string); len(id) != 16 || span["parent_id"] != nil {
+		t.Errorf("root span ids = %v/%v, want a span_id and no parent_id", span["span_id"], span["parent_id"])
+	}
+	if child["ev"] != "child" || child["parent_id"] != span["span_id"] {
+		t.Errorf("child span = %v, want parent_id %v", child, span["span_id"])
 	}
 }
 
@@ -224,8 +235,10 @@ func TestPhases(t *testing.T) {
 }
 
 // disabledHotPath is the exact call pattern instrumented hot paths use when
-// telemetry is off: pre-resolved nil instruments plus a TraceEnabled guard.
-func disabledHotPath(tel *Set, c *Counter, m *Max, h *Histogram) {
+// telemetry is off: pre-resolved nil instruments, a TraceEnabled guard, and
+// zero Spans — from the Set and from a context that carries none — ended
+// with attributes.
+func disabledHotPath(ctx context.Context, tel *Set, c *Counter, m *Max, h *Histogram) {
 	c.Add(1)
 	m.Observe(42)
 	h.Observe(1234)
@@ -233,13 +246,18 @@ func disabledHotPath(tel *Set, c *Counter, m *Max, h *Histogram) {
 	if tel.TraceEnabled() {
 		tel.Emit("expensive", String("goal", "never built"))
 	}
+	tel.Begin("span").End(String("theorem", "t"), Int("steps", 3))
+	parent := SpanFromContext(ctx)
+	parent.Child("child").End(Bool("cached", true))
+	parent.RequestTrace().NoteDegraded(DegradeQueryTimeout)
 }
 
 func TestTelemetryDisabledAllocs(t *testing.T) {
 	var tel *Set
 	c, m, h := tel.Counter("c"), tel.Max("m"), tel.Histogram("h")
+	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		disabledHotPath(tel, c, m, h)
+		disabledHotPath(ctx, tel, c, m, h)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled telemetry path allocates %.1f allocs/op, want 0", allocs)
@@ -251,10 +269,11 @@ func TestTelemetryDisabledAllocs(t *testing.T) {
 func BenchmarkTelemetryDisabled(b *testing.B) {
 	var tel *Set
 	c, m, h := tel.Counter("c"), tel.Max("m"), tel.Histogram("h")
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		disabledHotPath(tel, c, m, h)
+		disabledHotPath(ctx, tel, c, m, h)
 	}
 }
 
@@ -264,9 +283,10 @@ func BenchmarkTelemetryEnabledCounters(b *testing.B) {
 	reg := NewRegistry()
 	tel := New(reg, nil)
 	c, m, h := tel.Counter("c"), tel.Max("m"), tel.Histogram("h")
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		disabledHotPath(tel, c, m, h)
+		disabledHotPath(ctx, tel, c, m, h)
 	}
 }

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"context"
+	"encoding/hex"
 	"io"
 	"math"
 	"strconv"
@@ -55,8 +57,9 @@ func DurUS(k string, d time.Duration) Attr { return Int64(k, d.Microseconds()) }
 // TraceWriter emits structured events as JSON Lines: one object per line
 // with monotonic "ts_us" (microseconds since the writer was created), a
 // strictly increasing "seq", the event name "ev", and the event's
-// attributes as top-level keys.  Spans add "dur_us".  Safe for concurrent
-// use; a nil *TraceWriter is a valid, disabled writer.
+// attributes as top-level keys.  Spans add "dur_us", "span_id" and, below a
+// root, "parent_id".  Safe for concurrent use; a nil *TraceWriter is a
+// valid, disabled writer.
 type TraceWriter struct {
 	mu    sync.Mutex
 	w     io.Writer
@@ -70,9 +73,6 @@ type TraceWriter struct {
 func NewTraceWriter(w io.Writer) *TraceWriter {
 	return &TraceWriter{w: w, start: time.Now(), buf: make([]byte, 0, 256)}
 }
-
-// Enabled reports whether events will actually be written.
-func (t *TraceWriter) Enabled() bool { return t != nil }
 
 // Err returns the first write error encountered, if any.
 func (t *TraceWriter) Err() error {
@@ -89,6 +89,12 @@ func (t *TraceWriter) Emit(event string, attrs ...Attr) {
 	if t == nil {
 		return
 	}
+	t.emit(event, nil, attrs)
+}
+
+// emit writes one line; sp, when non-nil, is the finished span the line
+// records.
+func (t *TraceWriter) emit(event string, sp *Span, attrs []Attr) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
@@ -99,6 +105,17 @@ func (t *TraceWriter) Emit(event string, attrs ...Attr) {
 	b = strconv.AppendInt(b, t.seq, 10)
 	b = append(b, `,"ev":`...)
 	b = strconv.AppendQuote(b, event)
+	if sp != nil {
+		b = append(b, `,"dur_us":`...)
+		b = strconv.AppendInt(b, time.Since(sp.start).Microseconds(), 10)
+		b = append(b, `,"span_id":"`...)
+		b = hex.AppendEncode(b, sp.id[:])
+		if !sp.parent.IsZero() {
+			b = append(b, `","parent_id":"`...)
+			b = hex.AppendEncode(b, sp.parent[:])
+		}
+		b = append(b, '"')
+	}
 	for _, a := range attrs {
 		b = append(b, ',')
 		b = strconv.AppendQuote(b, a.Key)
@@ -129,30 +146,66 @@ func (t *TraceWriter) Emit(event string, attrs ...Attr) {
 	t.buf = b[:0]
 }
 
-// Begin opens a span: a timed region reported as a single event carrying
-// "dur_us" when End is called.  The zero Span (and any span from a nil
-// writer) is a valid no-op.
-func (t *TraceWriter) Begin(event string) Span {
-	if t == nil {
+// Span is a timed region of a trace, and the only span type.  A live span
+// reports to exactly one collector when it ends: a *RequestTrace keeps it
+// in the request's bounded span tree (what the flight recorder retains),
+// a *TraceWriter writes it as one JSONL line.  Roots come from a collector
+// (Set.Begin, RequestTrace.Begin) and children from their parent (Child).
+// Spans are values; copying is fine.  The zero Span, and every child of
+// it, is a valid no-op.
+type Span struct {
+	rt     *RequestTrace
+	tw     *TraceWriter
+	name   string
+	id     SpanID
+	parent SpanID
+	start  time.Time
+}
+
+func openSpan(rt *RequestTrace, tw *TraceWriter, name string, parent SpanID) Span {
+	return Span{rt: rt, tw: tw, name: name, id: newSpanID(), parent: parent, start: time.Now()}
+}
+
+// Child opens a span parented under s that reports to s's collector.
+func (s Span) Child(name string) Span {
+	if s.rt == nil && s.tw == nil {
 		return Span{}
 	}
-	return Span{t: t, event: event, start: time.Now()}
+	return openSpan(s.rt, s.tw, name, s.id)
 }
 
-// Span is an in-flight timed region.  Spans are values; copying is fine.
-type Span struct {
-	t     *TraceWriter
-	event string
-	start time.Time
-}
+// ID returns the span's id; it is zero exactly when the span is a no-op.
+func (s Span) ID() SpanID { return s.id }
 
-// End emits the span's event with its duration and the given attributes.
+// RequestTrace returns the request trace s reports to (nil for a JSONL or
+// no-op span), for the request-scoped books a span's owner keeps beyond
+// the tree: the degradation profile and the trace id.
+func (s Span) RequestTrace() *RequestTrace { return s.rt }
+
+// End finishes the span: its collector records the name, ids, start,
+// duration and the given attributes.
 func (s Span) End(attrs ...Attr) {
-	if s.t == nil {
-		return
+	switch {
+	case s.rt != nil:
+		s.rt.record(s, attrs)
+	case s.tw != nil:
+		s.tw.emit(s.name, &s, attrs)
 	}
-	all := make([]Attr, 0, len(attrs)+1)
-	all = append(all, DurUS("dur_us", time.Since(s.start)))
-	all = append(all, attrs...)
-	s.t.Emit(s.event, all...)
+}
+
+// spanKey carries a Span through a context, so layers that only see a
+// context.Context (the engine, and the prover below it) open their spans
+// under the right parent.
+type spanKey struct{}
+
+// ContextWithSpan returns ctx carrying s as the parent for callees' spans.
+func ContextWithSpan(ctx context.Context, s Span) context.Context {
+	return context.WithValue(ctx, spanKey{}, s)
+}
+
+// SpanFromContext returns the span ctx carries, or — without allocating —
+// the zero no-op Span when it carries none.
+func SpanFromContext(ctx context.Context) Span {
+	s, _ := ctx.Value(spanKey{}).(Span)
+	return s
 }

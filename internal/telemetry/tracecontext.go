@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"encoding/hex"
 	"math/rand/v2"
 	"sync"
@@ -17,8 +16,7 @@ import (
 // tier's spans and its backends' spans correlate into one tree.
 //
 // The "nil is off" discipline holds throughout: a nil *RequestTrace hands
-// out no-op spans, NoteDegraded no-ops, and TraceScope on a context that
-// never saw WithTraceScope returns nil without allocating.
+// out no-op spans and NoteDegraded no-ops.
 
 // TraceID is a 128-bit W3C trace id.
 type TraceID [16]byte
@@ -163,7 +161,7 @@ type SpanRecord struct {
 	Parent  string `json:"parent_id,omitempty"`
 	StartUS int64  `json:"start_us"`
 	DurUS   int64  `json:"dur_us"`
-	// Attrs holds the attributes passed to ActiveSpan.End.
+	// Attrs holds the attributes passed to Span.End.
 	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
@@ -190,14 +188,6 @@ func NewRequestTrace(tc TraceContext) *RequestTrace {
 	return &RequestTrace{tc: tc, start: time.Now()}
 }
 
-// Context returns the trace context the request runs under.
-func (rt *RequestTrace) Context() TraceContext {
-	if rt == nil {
-		return TraceContext{}
-	}
-	return rt.tc
-}
-
 // TraceIDString returns the hex trace id ("" when disabled).
 func (rt *RequestTrace) TraceIDString() string {
 	if rt == nil {
@@ -206,14 +196,13 @@ func (rt *RequestTrace) TraceIDString() string {
 	return rt.tc.TraceID.String()
 }
 
-// StartSpan opens a span parented under parent (use the incoming
-// TraceContext.SpanID for the root).  The returned ActiveSpan is a value;
-// it must be End()ed to appear in the tree.
-func (rt *RequestTrace) StartSpan(name string, parent SpanID) ActiveSpan {
+// Begin opens the request's root span, parented under the caller's span
+// from the trace context.
+func (rt *RequestTrace) Begin(name string) Span {
 	if rt == nil {
-		return ActiveSpan{}
+		return Span{}
 	}
-	return ActiveSpan{rt: rt, name: name, id: newSpanID(), parent: parent, start: time.Now()}
+	return openSpan(rt, nil, name, rt.tc.SpanID)
 }
 
 // NoteDegraded records one query degraded toward Maybe for the given
@@ -268,38 +257,11 @@ func (rt *RequestTrace) DroppedSpans() int {
 	return rt.dropped
 }
 
-func (rt *RequestTrace) record(rec SpanRecord) {
-	rt.mu.Lock()
-	if len(rt.spans) >= maxRequestSpans {
-		rt.dropped++
-	} else {
-		rt.spans = append(rt.spans, rec)
-	}
-	rt.mu.Unlock()
-}
-
-// ActiveSpan is one in-flight span of a RequestTrace.  The zero ActiveSpan
-// (and any span from a nil trace) is a valid no-op.
-type ActiveSpan struct {
-	rt     *RequestTrace
-	name   string
-	id     SpanID
-	parent SpanID
-	start  time.Time
-}
-
-// ID returns the span's id, to parent child spans under it.
-func (s ActiveSpan) ID() SpanID { return s.id }
-
-// End completes the span, recording it with its duration and attributes.
-func (s ActiveSpan) End(attrs ...Attr) {
-	if s.rt == nil {
-		return
-	}
+func (rt *RequestTrace) record(s Span, attrs []Attr) {
 	rec := SpanRecord{
 		Name:    s.name,
 		ID:      s.id.String(),
-		StartUS: s.start.Sub(s.rt.start).Microseconds(),
+		StartUS: s.start.Sub(rt.start).Microseconds(),
 		DurUS:   time.Since(s.start).Microseconds(),
 	}
 	if !s.parent.IsZero() {
@@ -311,7 +273,13 @@ func (s ActiveSpan) End(attrs ...Attr) {
 			rec.Attrs[a.Key] = a.value()
 		}
 	}
-	s.rt.record(rec)
+	rt.mu.Lock()
+	if len(rt.spans) >= maxRequestSpans {
+		rt.dropped++
+	} else {
+		rt.spans = append(rt.spans, rec)
+	}
+	rt.mu.Unlock()
 }
 
 // value unboxes the attribute for JSON rendering (flight recorder spans).
@@ -327,30 +295,4 @@ func (a Attr) value() any {
 		return a.i != 0
 	}
 	return nil
-}
-
-// traceScopeKey carries a (*RequestTrace, parent span) pair through a
-// context so layers that only see a context.Context (the engine, and the
-// prover below it) can attach their spans to the right parent.
-type traceScopeKey struct{}
-
-type traceScope struct {
-	rt     *RequestTrace
-	parent SpanID
-}
-
-// WithTraceScope returns a context carrying rt with parent as the span
-// under which callees should parent their spans.
-func WithTraceScope(ctx context.Context, rt *RequestTrace, parent SpanID) context.Context {
-	return context.WithValue(ctx, traceScopeKey{}, traceScope{rt: rt, parent: parent})
-}
-
-// TraceScope extracts the request trace and parent span from ctx,
-// returning (nil, zero) — without allocating — when none was attached.
-func TraceScope(ctx context.Context) (*RequestTrace, SpanID) {
-	if v := ctx.Value(traceScopeKey{}); v != nil {
-		sc := v.(traceScope)
-		return sc.rt, sc.parent
-	}
-	return nil, SpanID{}
 }

@@ -63,8 +63,8 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 func TestRequestTraceSpanTree(t *testing.T) {
 	tc := NewTraceContext()
 	rt := NewRequestTrace(tc)
-	root := rt.StartSpan("root", tc.SpanID)
-	child := rt.StartSpan("child", root.ID())
+	root := rt.Begin("root")
+	child := root.Child("child")
 	child.End(String("k", "v"), Int("n", 7), Bool("b", true), Float64("f", 1.5))
 	root.End()
 
@@ -93,7 +93,7 @@ func TestRequestTraceSpanTree(t *testing.T) {
 func TestRequestTraceSpanCap(t *testing.T) {
 	rt := NewRequestTrace(NewTraceContext())
 	for i := 0; i < maxRequestSpans+10; i++ {
-		rt.StartSpan("s", SpanID{}).End()
+		rt.Begin("s").End()
 	}
 	if got := len(rt.Spans()); got != maxRequestSpans {
 		t.Errorf("spans = %d, want cap %d", got, maxRequestSpans)
@@ -120,27 +120,37 @@ func TestRequestTraceDegradedCounts(t *testing.T) {
 
 func TestNilRequestTraceIsNoOp(t *testing.T) {
 	var rt *RequestTrace
-	sp := rt.StartSpan("x", SpanID{})
-	sp.End(Int("n", 1)) // must not panic
+	sp := rt.Begin("x")
+	sp.Child("y").End(Int("n", 1)) // must not panic
+	sp.End()
+	if !sp.ID().IsZero() || sp.RequestTrace() != nil {
+		t.Error("nil RequestTrace handed out a live span")
+	}
 	rt.NoteDegraded(DegradeCanceled)
 	if rt.Spans() != nil || rt.DegradedTotal() != 0 || rt.TraceIDString() != "" {
 		t.Error("nil RequestTrace is not a clean no-op")
 	}
 
-	// A context that never saw WithTraceScope yields nil without drama.
-	gotRT, parent := TraceScope(context.Background())
-	if gotRT != nil || !parent.IsZero() {
-		t.Errorf("TraceScope(bare ctx) = %v, %v", gotRT, parent)
+	// A context that never carried a span yields the zero Span.
+	if got := SpanFromContext(context.Background()); got.RequestTrace() != nil || !got.ID().IsZero() {
+		t.Errorf("SpanFromContext(bare ctx) = %+v, want the zero Span", got)
 	}
 }
 
-func TestWithTraceScope(t *testing.T) {
+func TestRequestTraceSpanContext(t *testing.T) {
 	rt := NewRequestTrace(NewTraceContext())
-	sp := rt.StartSpan("parent", SpanID{})
-	ctx := WithTraceScope(context.Background(), rt, sp.ID())
-	gotRT, gotParent := TraceScope(ctx)
-	if gotRT != rt || gotParent != sp.ID() {
-		t.Errorf("TraceScope = %v, %v; want the attached pair", gotRT, gotParent)
+	sp := rt.Begin("parent")
+	got := SpanFromContext(ContextWithSpan(context.Background(), sp))
+	if got.RequestTrace() != rt || got.ID() != sp.ID() {
+		t.Errorf("SpanFromContext = %v, %v; want the attached span", got.RequestTrace(), got.ID())
+	}
+	got.Child("child").End()
+	got.RequestTrace().NoteDegraded(DegradeQueryTimeout)
+	if spans := rt.Spans(); len(spans) != 1 || spans[0].Parent != sp.ID().String() {
+		t.Errorf("child of the context's span = %+v, want parent %s", spans, sp.ID())
+	}
+	if rt.DegradedTotal() != 1 {
+		t.Errorf("degradation through the context's span not booked: %d", rt.DegradedTotal())
 	}
 }
 

@@ -59,9 +59,6 @@ func (h *WindowHistogram) Observe(v int64) {
 	s.atNS.Store(time.Since(h.start).Nanoseconds() + 1)
 }
 
-// ObserveDuration records a duration in nanoseconds.
-func (h *WindowHistogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()) }
-
 // WindowSummary is a point-in-time digest of the observations inside the
 // window: exact nearest-rank sample quantiles, not bucket bounds.
 type WindowSummary struct {

@@ -63,7 +63,7 @@ func TestWindowHistogramWrap(t *testing.T) {
 func TestWindowHistogramNilAndEmpty(t *testing.T) {
 	var h *WindowHistogram
 	h.Observe(1) // must not panic
-	h.ObserveDuration(time.Second)
+	h.Observe(time.Second.Nanoseconds())
 	if s := h.Summary(DefaultWindow); s.Count != 0 || s.P99 != 0 {
 		t.Errorf("nil summary = %+v", s)
 	}

@@ -1,7 +1,7 @@
 // Package wire is the transport-neutral layer of the query plane: the JSON
 // request/response vocabulary of POST /v1/batch plus the small helpers both
 // sides of the wire share (bounded body reads, JSON writers, millisecond
-// clamping, traceparent echo).  Everything that talks the protocol — the
+// clamping, the access-logged HTTP front).  Everything that talks the protocol — the
 // serving execution stack (internal/serve), the cluster router
 // (internal/route), the repository benchmark, and the scenario farm's
 // cross-checker — depends on this package and on nothing above it; wire
@@ -32,6 +32,8 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // BatchRequest is the JSON body of POST /v1/batch.
@@ -185,6 +187,81 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 		return nil, false
 	}
 	return body, true
+}
+
+// StatusWriter records the status code and body size a handler produced,
+// for the access log and a flight record's metadata.
+type StatusWriter struct {
+	http.ResponseWriter
+	status int
+	bytes  int64
+}
+
+// WriteHeader records the first status written.
+func (w *StatusWriter) WriteHeader(code int) {
+	if w.status == 0 {
+		w.status = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// Write counts the body bytes written.
+func (w *StatusWriter) Write(b []byte) (int, error) {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	n, err := w.ResponseWriter.Write(b)
+	w.bytes += int64(n)
+	return n, err
+}
+
+// Status returns the written status (200 when the handler never set one).
+func (w *StatusWriter) Status() int {
+	if w.status == 0 {
+		return http.StatusOK
+	}
+	return w.status
+}
+
+// ServeLogged is the HTTP front both the server and the router answer
+// through.  It runs h on a StatusWriter, answers a panic in h with a 500
+// carrying onPanic's message (onPanic also books the panic), and then
+// appends one "http_access" JSONL line to access (nil disables it) —
+// whatever the endpoint and status.  The line carries the response's
+// traceparent and, when the response names one in X-Apt-Backend, the
+// backend that answered.
+func ServeLogged(w http.ResponseWriter, r *http.Request, access *telemetry.TraceWriter, h http.Handler,
+	onPanic func(rec any) string) {
+
+	sw := &StatusWriter{ResponseWriter: w}
+	start := time.Now()
+	defer func() {
+		if rec := recover(); rec != nil {
+			// Best effort: if the handler already wrote a partial body this
+			// write fails silently, which is all HTTP offers.
+			WriteJSONError(sw, http.StatusInternalServerError, onPanic(rec))
+		}
+		if access == nil {
+			return
+		}
+		backend := sw.Header().Get("X-Apt-Backend")
+		attrs := [...]telemetry.Attr{
+			telemetry.String("method", r.Method),
+			telemetry.String("path", r.URL.Path),
+			telemetry.Int("status", sw.Status()),
+			telemetry.Int64("bytes", sw.bytes),
+			telemetry.DurUS("dur_us", time.Since(start)),
+			telemetry.String("remote", r.RemoteAddr),
+			telemetry.String("traceparent", sw.Header().Get("traceparent")),
+			telemetry.String("backend", backend),
+		}
+		n := len(attrs)
+		if backend == "" { // only the router names a backend
+			n--
+		}
+		access.Emit("http_access", attrs[:n]...)
+	}()
+	h.ServeHTTP(sw, r)
 }
 
 // ClampMS converts a client-supplied millisecond budget to a duration in
