@@ -588,9 +588,13 @@ func (r *artifactReader) str(what string) string {
 // allocation: a corrupt count must produce a clean error, not an OOM.
 const maxArtifactCount = 1 << 24
 
+// count reads a table's element count.  Every element costs at least one
+// u32 of payload, so a count above a quarter of the bytes left is corrupt:
+// rejecting it here keeps a single flipped count from sizing an allocation
+// hundreds of times the payload.
 func (r *artifactReader) count(what string) int {
 	n := r.u32(what)
-	if n > maxArtifactCount {
+	if n > maxArtifactCount || n > (len(r.buf)-r.off)/4 {
 		r.fail(what + " count")
 		return 0
 	}
@@ -622,6 +626,9 @@ func decodeArtifact(buf []byte, alias bool) (*Artifact, error) {
 		expr := r.u32("DFA expression index")
 		states := r.count("DFA states")
 		k := r.u32("DFA symbol count")
+		if r.err == nil && states == 0 {
+			r.fail("DFA states") // every DFA has a start state
+		}
 		if r.err == nil && (alpha >= len(art.Alphabets) || expr >= len(art.Exprs)) {
 			r.fail("DFA table index")
 		}

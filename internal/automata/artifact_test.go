@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/pathexpr"
@@ -212,6 +213,54 @@ func TestArtifactRejectsCorruption(t *testing.T) {
 			t.Fatal("LoadArtifact returned a non-nil artifact alongside an error")
 		}
 	})
+}
+
+// TestArtifactCountBomb: one flipped byte in a table count must fail the
+// decode before the count sizes an allocation.  Raising the first
+// alphabet's symbol count from 3 by 1<<20 (byte 6 of the payload) once made
+// decodeArtifact reserve a million-entry string slice for a few KiB of
+// payload; now the count is refused for exceeding the bytes left.
+func TestArtifactCountBomb(t *testing.T) {
+	c, _ := artifactCache(t)
+	payload, err := c.Snapshot().payload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := binary.LittleEndian.Uint32(payload[4:8]); n == 0 || n >= 1<<16 {
+		t.Fatalf("first alphabet declares %d symbols; the flip below assumes a small count", n)
+	}
+	bad := append([]byte(nil), payload...)
+	bad[6] ^= 0x10
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	art, err := decodeArtifact(bad, false)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("decoding a corrupt symbol count succeeded: %d alphabets", len(art.Alphabets))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("decoding a %d-byte payload allocated %d bytes before failing; want < 1 MiB", len(bad), grew)
+	}
+}
+
+// TestArtifactRejectsStatelessDFA: a DFA table with no states has no start
+// state, and preseeding one made the first decision over its expression
+// index out of range.  The decoder refuses it.
+func TestArtifactRejectsStatelessDFA(t *testing.T) {
+	art := &Artifact{
+		Alphabets: [][]string{{"a"}},
+		Exprs:     []string{"a"},
+		DFAs:      []ArtifactDFA{{Alpha: 0, Expr: 0, Accept: []bool{}}},
+	}
+	var buf bytes.Buffer
+	if _, err := art.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeArtifact(buf.Bytes()); err == nil {
+		t.Fatal("decoding a zero-state DFA succeeded")
+	}
 }
 
 // TestPreseedSkipsUnknownExprs: an artifact entry whose expression does not

@@ -215,8 +215,8 @@ func (s *Set) ID() uint64 {
 // order — the fingerprint is a pure function of the axiom content, so two
 // processes that never exchanged state agree on it.  It is what may cross
 // the wire: the cluster router's consistent-hash ring places axiom sets on
-// backends by fingerprint, and the warm-handoff snapshot endpoints address
-// engines by it.  (Like Key, it is name- and declaration-order-blind.)
+// backends by fingerprint.  (Like Key, it is name- and declaration-order-
+// blind.)
 func (s *Set) Fingerprint64() uint64 {
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()

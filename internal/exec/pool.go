@@ -1,8 +1,7 @@
 // Package exec is the execution tier of the query plane: the bounded pool
-// of warm per-axiom-set engines, the raw-query builder that turns wire
-// queries into core ones, and the warm-state snapshot/preload operations
-// the cluster's ring-change handoff rides on.  It knows nothing about HTTP
-// or admission — internal/serve composes it under both.
+// of warm per-axiom-set engines and the raw-query builder that turns wire
+// queries into core ones.  It knows nothing about HTTP or admission —
+// internal/serve composes it under both.
 package exec
 
 import (
@@ -40,12 +39,10 @@ type PoolConfig struct {
 // Pool keeps one warm engine.Engine — and therefore one shared DFA cache
 // and one proof memo — per axiom set, reclaiming the least-recently-used
 // engine when the population exceeds its cap.  Entries are keyed by the
-// process-local axiom.Set.ID(); the cross-process Fingerprint64 is only the
-// key Find, SnapshotArtifact and Fingerprints answer to, for a peer that
-// names a shard by its ring identity.  Eviction only
-// unlinks the engine from the pool: an in-flight batch still running on it
-// finishes normally and the garbage collector reclaims the caches
-// afterwards, so no request ever observes a half-dead engine.
+// process-local axiom.Set.ID().  Eviction only unlinks the engine from the
+// pool: an in-flight batch still running on it finishes normally and the
+// garbage collector reclaims the caches afterwards, so no request ever
+// observes a half-dead engine.
 type Pool struct {
 	cfg PoolConfig
 	tel *telemetry.Set
@@ -62,10 +59,8 @@ type Pool struct {
 // poolEntry is one resident engine plus its bookkeeping.
 type poolEntry struct {
 	id      uint64 // axiom.Set.ID() identity (the pool's map key)
-	fp      uint64 // axiom.Set.Fingerprint64(), the cross-process identity
 	key     string // axiom.Set.Key() fingerprint, kept for /statz ordering
 	name    string // human-readable axiom-set name
-	set     *axiom.Set
 	eng     *engine.Engine
 	lastUse int64 // pool sequence number of the most recent get
 	uses    int64
@@ -85,24 +80,10 @@ func NewPool(cfg PoolConfig, tel *telemetry.Set) *Pool {
 	}
 }
 
-// Get returns the warm engine for the axiom set, building one on a cold
-// miss.  cold reports whether this call built it.
+// Get returns the warm engine for the axiom set, building one — preseeded
+// from the configured Preload artifact — on a cold miss.  cold reports
+// whether this call built it.
 func (p *Pool) Get(ax *axiom.Set) (eng *engine.Engine, cold bool) {
-	return p.get(ax, p.cfg.Preload)
-}
-
-// GetPreloaded is Get with an explicit artifact for the cold-build preseed
-// (the warm-handoff path: a router ships the old owner's snapshot to the
-// backend gaining the shard).  A warm hit ignores the artifact — the
-// resident engine is at least as warm as any snapshot of it.
-func (p *Pool) GetPreloaded(ax *axiom.Set, art *automata.Artifact) (eng *engine.Engine, cold bool) {
-	if art == nil {
-		art = p.cfg.Preload
-	}
-	return p.get(ax, art)
-}
-
-func (p *Pool) get(ax *axiom.Set, preload *automata.Artifact) (*engine.Engine, bool) {
 	id := ax.ID()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -115,10 +96,8 @@ func (p *Pool) get(ax *axiom.Set, preload *automata.Artifact) (*engine.Engine, b
 	}
 	e := &poolEntry{
 		id:   id,
-		fp:   ax.Fingerprint64(),
 		key:  ax.Key(),
 		name: ax.StructName,
-		set:  ax,
 		eng: engine.New(ax, engine.Options{
 			Workers:      p.cfg.Workers,
 			QueryTimeout: p.cfg.QueryTimeout,
@@ -127,7 +106,7 @@ func (p *Pool) get(ax *axiom.Set, preload *automata.Artifact) (*engine.Engine, b
 			Telemetry:    p.tel,
 			DFAShardCap:  p.cfg.DFAShardCap,
 			MemoShardCap: p.cfg.MemoShardCap,
-			Preload:      preload,
+			Preload:      p.cfg.Preload,
 		}),
 		lastUse: p.seq,
 		uses:    1,
@@ -150,53 +129,12 @@ func (p *Pool) get(ax *axiom.Set, preload *automata.Artifact) (*engine.Engine, b
 	return e.eng, true
 }
 
-// Find returns the resident engine whose axiom set has the given cross-
-// process fingerprint, without touching its LRU position (a snapshot
-// request must not keep an otherwise idle engine alive).
-func (p *Pool) Find(fp uint64) (*engine.Engine, *axiom.Set, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range p.entries {
-		if e.fp == fp {
-			return e.eng, e.set, true
-		}
-	}
-	return nil, nil, false
-}
-
-// SnapshotArtifact renders the fingerprinted engine's warm state — compiled
-// DFAs, decision tables, memoized proof goals, and the axiom set itself —
-// as a portable artifact, or nil when no such engine is resident.
-func (p *Pool) SnapshotArtifact(fp uint64) *automata.Artifact {
-	eng, set, ok := p.Find(fp)
-	if !ok {
-		return nil
-	}
-	art := eng.SnapshotArtifact()
-	engine.AppendAxiomSet(art, set)
-	return art
-}
-
-// PreloadArtifact builds (or warms) an engine for every axiom set the
-// artifact carries, preseeding cold builds from the artifact.  It returns
-// the number of engines built cold.
-func (p *Pool) PreloadArtifact(art *automata.Artifact) int {
-	built := 0
-	for _, set := range engine.ArtifactAxiomSets(art) {
-		if _, cold := p.GetPreloaded(set, art); cold {
-			built++
-		}
-	}
-	return built
-}
-
 // View is a read-only copy of one resident engine's bookkeeping, taken
 // under the pool lock (the mutable lastUse/uses fields must not be read
 // while another Get mutates them).
 type View struct {
 	Key  string
 	Name string
-	FP   uint64
 	Eng  *engine.Engine
 	Uses int64
 }
@@ -207,7 +145,7 @@ func (p *Pool) Snapshot() []View {
 	p.mu.Lock()
 	out := make([]View, 0, len(p.entries))
 	for _, e := range p.entries {
-		out = append(out, View{Key: e.key, Name: e.name, FP: e.fp, Eng: e.eng, Uses: e.uses})
+		out = append(out, View{Key: e.key, Name: e.name, Eng: e.eng, Uses: e.uses})
 	}
 	p.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -228,14 +166,3 @@ func (p *Pool) Len() int {
 
 // Evicted reports how many engines the LRU has reclaimed.
 func (p *Pool) Evicted() int64 { return p.evicted.Load() }
-
-// Fingerprints returns the resident axiom-set fingerprints (unordered).
-func (p *Pool) Fingerprints() []uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]uint64, 0, len(p.entries))
-	for _, e := range p.entries {
-		out = append(out, e.fp)
-	}
-	return out
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/telemetry"
@@ -32,8 +31,6 @@ type Statz struct {
 	HedgesWon       int64          `json:"hedges_won"`
 	HedgesLost      int64          `json:"hedges_lost"`
 	HedgesSpared    int64          `json:"hedges_spared"`
-	RingMoves       int64          `json:"ring_moves"`
-	WarmHandoffs    int64          `json:"warm_handoffs"`
 	Backends        []BackendStatz `json:"backends"`
 }
 
@@ -54,25 +51,11 @@ func (rt *Router) StatzSnapshot() Statz {
 		HedgesWon:       rt.hedgeWon.Load(),
 		HedgesLost:      rt.hedgeLost.Load(),
 		HedgesSpared:    rt.hedgeSpared.Load(),
-		RingMoves:       rt.ringMoves.Load(),
-		WarmHandoffs:    rt.handoffs.Load(),
 	}
-	for _, b := range rt.members() {
+	for _, b := range rt.members {
 		z.Backends = append(z.Backends, BackendStatz{Addr: b.addr, Up: b.up.Load(), Forwarded: b.forwarded.Load()})
 	}
 	return z
-}
-
-// members returns the known backends sorted by address.
-func (rt *Router) members() []*backend {
-	rt.mu.Lock()
-	out := make([]*backend, 0, len(rt.backends))
-	for _, b := range rt.backends {
-		out = append(out, b)
-	}
-	rt.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
-	return out
 }
 
 func (rt *Router) handleStatz(w http.ResponseWriter, r *http.Request) {
@@ -92,8 +75,7 @@ func (rt *Router) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 }
 
 // writePromRouter renders the router families: lifecycle counters, the
-// per-backend up/forwarded series, the hedge outcomes, and the ring-move
-// counter the warm handoff increments.
+// per-backend up/forwarded series, and the hedge outcomes.
 func (rt *Router) writePromRouter(w io.Writer) {
 	bw := bufio.NewWriter(w)
 	counter := func(name, help string, v int64) {
@@ -105,8 +87,6 @@ func (rt *Router) writePromRouter(w io.Writer) {
 	counter("apt_router_shed_total", "Requests shed with 429 by the router's own admission control.", shed)
 	counter("apt_router_refused_draining_total", "Requests refused because the router was draining.", refused)
 	counter("apt_router_panics_total", "Router handler panics isolated into 500s.", rt.panics.Load())
-	counter("apt_ring_moves_total", "Shards whose owner changed across ring membership changes.", rt.ringMoves.Load())
-	counter("apt_ring_warm_handoffs_total", "Ring moves whose warm state was shipped to the gaining backend.", rt.handoffs.Load())
 
 	fmt.Fprintf(bw, "# HELP apt_router_inflight Requests admitted and not yet answered.\n# TYPE apt_router_inflight gauge\napt_router_inflight %d\n",
 		rt.adm.Inflight())
@@ -123,9 +103,8 @@ func (rt *Router) writePromRouter(w io.Writer) {
 		fmt.Fprintf(bw, "apt_hedge_total{outcome=%q} %d\n", o.outcome, o.v)
 	}
 
-	members := rt.members()
 	fmt.Fprintf(bw, "# HELP apt_backend_up Whether the backend's last health probe answered 200.\n# TYPE apt_backend_up gauge\n")
-	for _, b := range members {
+	for _, b := range rt.members {
 		up := 0
 		if b.up.Load() {
 			up = 1
@@ -133,7 +112,7 @@ func (rt *Router) writePromRouter(w io.Writer) {
 		fmt.Fprintf(bw, "apt_backend_up{backend=\"%s\"} %d\n", telemetry.PromEscapeLabel(b.addr), up)
 	}
 	fmt.Fprintf(bw, "# HELP apt_backend_forwarded_total Requests forwarded to the backend (hedges and failovers included).\n# TYPE apt_backend_forwarded_total counter\n")
-	for _, b := range members {
+	for _, b := range rt.members {
 		fmt.Fprintf(bw, "apt_backend_forwarded_total{backend=\"%s\"} %d\n", telemetry.PromEscapeLabel(b.addr), b.forwarded.Load())
 	}
 	bw.Flush() //nolint:errcheck // client hangup

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -32,16 +33,15 @@ const (
 	DefaultHealthInterval = 500 * time.Millisecond
 	DefaultProbeTimeout   = 2 * time.Second
 	DefaultMaxBodyBytes   = 1 << 20
-	// fpCacheCap bounds the program→fingerprint cache; seenFPCap bounds the
-	// set of fingerprints tracked for warm handoff.
+	// fpCacheCap bounds the program→fingerprint cache.
 	fpCacheCap = 1024
-	seenFPCap  = 4096
 )
 
 // Config sizes a Router.
 type Config struct {
-	// Backends are the initial backend addresses ("host:port" or full
-	// "http://host:port" URLs).
+	// Backends are the backend addresses ("host:port" or full
+	// "http://host:port" URLs).  Membership is fixed for the router's
+	// lifetime.
 	Backends []string
 	// HedgeDelay, when positive, fires a hedged duplicate of a request to
 	// the shard's next backend if the owner has not answered within the
@@ -102,11 +102,13 @@ type Router struct {
 	access *telemetry.TraceWriter
 	start  time.Time
 
-	mu       sync.Mutex
+	// ring, backends and members are built by New and never change.
 	ring     *Ring
-	backends map[string]*backend // by normalized addr; survives ring changes
-	seenFPs  map[uint64]struct{}
-	fpCache  map[uint64]uint64 // FNV(program+fn) → axiom-set fingerprint
+	backends map[string]*backend // by normalized addr
+	members  []*backend          // the same backends, sorted by addr
+
+	mu      sync.Mutex
+	fpCache map[uint64]uint64 // FNV(program+fn) → axiom-set fingerprint
 
 	probeCtx    context.Context
 	probeCancel context.CancelFunc
@@ -115,8 +117,6 @@ type Router struct {
 	hedgeWon    atomic.Int64
 	hedgeLost   atomic.Int64
 	hedgeSpared atomic.Int64
-	ringMoves   atomic.Int64
-	handoffs    atomic.Int64 // successful warm handoffs (≤ ringMoves)
 	panics      atomic.Int64
 
 	cRequests *telemetry.Counter
@@ -159,7 +159,6 @@ func New(cfg Config) *Router {
 		access:    cfg.AccessLog,
 		start:     time.Now(),
 		backends:  make(map[string]*backend),
-		seenFPs:   make(map[uint64]struct{}),
 		fpCache:   make(map[uint64]uint64),
 		cRequests: tel.Counter("route.requests"),
 		cShed:     tel.Counter("route.shed"),
@@ -174,9 +173,11 @@ func New(cfg Config) *Router {
 				b := &backend{addr: n}
 				b.up.Store(true) // optimistic until the first probe says otherwise
 				rt.backends[n] = b
+				rt.members = append(rt.members, b)
 			}
 		}
 	}
+	sort.Slice(rt.members, func(i, j int) bool { return rt.members[i].addr < rt.members[j].addr })
 	rt.ring = NewRing(addrs)
 	rt.mux.HandleFunc("/v1/batch", rt.handleBatch)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
@@ -213,89 +214,6 @@ func (rt *Router) Drain(ctx context.Context) error {
 // Draining reports whether Drain has begun.
 func (rt *Router) Draining() bool { return rt.adm.Draining() }
 
-// currentRing returns the ring under the lock.
-func (rt *Router) currentRing() *Ring {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.ring
-}
-
-// SetBackends replaces the ring membership and performs the warm handoff:
-// for every fingerprint this router has routed whose owner changes, it
-// snapshots the old owner's warm engine state and preloads it into the new
-// owner, so the moved shard's first request there is engine-warm instead of
-// cold.  Handoff is best-effort — an unreachable old owner just means the
-// gaining backend builds cold, which is the pre-handoff behavior.
-func (rt *Router) SetBackends(addrs []string) {
-	var normalized []string
-	for _, a := range addrs {
-		if n := NormalizeAddr(a); n != "" {
-			normalized = append(normalized, n)
-		}
-	}
-	next := NewRing(normalized)
-
-	rt.mu.Lock()
-	old := rt.ring
-	rt.ring = next
-	for _, a := range next.Addrs() {
-		if _, ok := rt.backends[a]; !ok {
-			b := &backend{addr: a}
-			b.up.Store(true)
-			rt.backends[a] = b
-		}
-	}
-	fps := make([]uint64, 0, len(rt.seenFPs))
-	for fp := range rt.seenFPs {
-		fps = append(fps, fp)
-	}
-	rt.mu.Unlock()
-
-	for _, mv := range Moved(old, next, fps) {
-		rt.ringMoves.Add(1)
-		if mv.From == "" || mv.To == "" {
-			continue
-		}
-		if rt.handoff(mv) {
-			rt.handoffs.Add(1)
-		}
-	}
-}
-
-// handoff ships one moved shard's warm state from its old owner to its new
-// one; false means the move proceeds cold.
-func (rt *Router) handoff(mv Move) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/snapshot?fp=%016x", mv.From, mv.FP), nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false
-	}
-	art, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || len(art) == 0 {
-		return false
-	}
-	preq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		mv.To+"/v1/preload", bytes.NewReader(art))
-	if err != nil {
-		return false
-	}
-	preq.Header.Set("Content-Type", "application/octet-stream")
-	presp, err := rt.client.Do(preq)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, presp.Body) //nolint:errcheck
-	presp.Body.Close()
-	return presp.StatusCode == http.StatusOK
-}
-
 // probeLoop polls every backend's /healthz, flipping its up flag.  A
 // backend marked down by a failed forward is revived here as soon as it
 // answers again.
@@ -309,13 +227,7 @@ func (rt *Router) probeLoop() {
 			return
 		case <-tick.C:
 		}
-		rt.mu.Lock()
-		members := make([]*backend, 0, len(rt.backends))
-		for _, b := range rt.backends {
-			members = append(members, b)
-		}
-		rt.mu.Unlock()
-		for _, b := range members {
+		for _, b := range rt.members {
 			b.up.Store(rt.probe(b.addr))
 		}
 	}
@@ -376,16 +288,6 @@ func (rt *Router) fingerprint(req *wire.BatchRequest) uint64 {
 	return fp
 }
 
-// noteFP tracks a routed fingerprint for future warm handoffs (bounded;
-// beyond the cap new shards just move cold).
-func (rt *Router) noteFP(fp uint64) {
-	rt.mu.Lock()
-	if len(rt.seenFPs) < seenFPCap {
-		rt.seenFPs[fp] = struct{}{}
-	}
-	rt.mu.Unlock()
-}
-
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rt.Draining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -429,7 +331,6 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := rt.fingerprint(&req)
-	rt.noteFP(fp)
 	// One trace id per routed request: join the client's trace, or mint one
 	// for a headerless (or malformed) request, and send that same value on
 	// every attempt so a hedge or failover lands in the same trace.
@@ -551,9 +452,7 @@ func (rt *Router) forward(ctx context.Context, fp uint64, body []byte, tracepare
 // ones first (stable within each class), so the owner serves when up and
 // the walk order still decides failover when it is not.
 func (rt *Router) candidates(fp uint64) []*backend {
-	seq := rt.currentRing().Sequence(fp)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	seq := rt.ring.Sequence(fp)
 	var up, down []*backend
 	for _, addr := range seq {
 		b := rt.backends[addr]

@@ -144,7 +144,7 @@ func TestRouterByteIdenticalVerdicts(t *testing.T) {
 	expected := map[string]int64{} // ring-owner addr → batches owed
 	for _, g := range order {
 		req := wire.BatchRequest{AxiomSet: g.set.Source(), AxiomSetName: g.set.StructName, Raw: g.raws}
-		expected[rt.currentRing().Owner(reqFingerprint(&req))]++
+		expected[rt.ring.Owner(reqFingerprint(&req))]++
 
 		dResp, dBody := postBatch(t, direct.URL, req)
 		rResp, rBody := postBatch(t, rts.URL, req)
@@ -533,65 +533,6 @@ func TestFailoverOnDownBackend(t *testing.T) {
 	}
 }
 
-// TestWarmHandoffOnRingChange is deterministic by construction: with two
-// live servers we let the ring decide which one owns the tree shard under
-// the two-member ring, start the router with only the OTHER member, warm the
-// shard there, then add the owner.  The shard must move, the warm state must
-// ship, and the gaining backend's first request must run engine-warm.
-func TestWarmHandoffOnRingChange(t *testing.T) {
-	s1, s2 := newBackendTS(t), newBackendTS(t)
-	req := rawTreeReq()
-
-	gaining := NewRing([]string{s1.URL, s2.URL}).Owner(reqFingerprint(&req))
-	losing := s1.URL
-	if gaining == s1.URL {
-		losing = s2.URL
-	}
-
-	rt := newRouter(t, Config{Backends: []string{losing}})
-	rts := httptest.NewServer(rt)
-	defer rts.Close()
-
-	// Warm the shard on the losing member (cold build there).
-	resp, body := postBatch(t, rts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup status = %d (body %s)", resp.StatusCode, body)
-	}
-	var br wire.BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatalf("warmup response: %v", err)
-	}
-	if !br.Stats.ColdEngine {
-		t.Fatal("warmup request should have built the engine cold")
-	}
-
-	// Ring change: the owner joins; the tree shard moves to it warm.
-	rt.SetBackends([]string{losing, gaining})
-	z := rt.StatzSnapshot()
-	if z.RingMoves < 1 {
-		t.Fatalf("ring moves = %d, want ≥1 — the tree shard's owner changed", z.RingMoves)
-	}
-	if z.WarmHandoffs != 1 {
-		t.Fatalf("warm handoffs = %d, want exactly 1", z.WarmHandoffs)
-	}
-
-	// The moved shard's first request on the gaining backend rides the
-	// shipped artifact: warm engine, not a cold build.
-	resp, body = postBatch(t, rts.URL, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-move status = %d (body %s)", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Apt-Backend"); got != gaining {
-		t.Fatalf("post-move request went to %q, want the gaining owner %q", got, gaining)
-	}
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatalf("post-move response: %v", err)
-	}
-	if br.Stats.ColdEngine {
-		t.Error("gaining backend built cold despite the warm handoff")
-	}
-}
-
 // TestRingKeepsShardsWarm pins what sharding buys on this workload:
 // warm-engine capacity, not parallelism.  Two axiom sets placed by the ring
 // one per backend stay engine-warm across a 2-backend ring whose backends
@@ -734,76 +675,6 @@ func TestRouterOversizedBodyIs413(t *testing.T) {
 	}
 }
 
-// TestRingChangeUnderLoad: concurrent traffic across several shards while
-// members join and leave.  Every request must get exactly one 200 verdict —
-// accepted == completed, nothing shed, nothing lost, nothing in flight at
-// the end.
-func TestRingChangeUnderLoad(t *testing.T) {
-	a, b, c := newBackendTS(t), newBackendTS(t), newBackendTS(t)
-	rt := newRouter(t, Config{Backends: []string{a.URL, b.URL}})
-	rts := httptest.NewServer(rt)
-	defer rts.Close()
-
-	// A handful of distinct shards: the workload windows all fingerprint
-	// differently.
-	var reqs []wire.BatchRequest
-	for _, set := range engine.WorkloadWindows() {
-		reqs = append(reqs, wire.BatchRequest{
-			AxiomSet:     set.Source(),
-			AxiomSetName: set.StructName,
-			Raw: []wire.RawQuery{
-				{SHandle: "h", SPath: "L", SField: "val", SWrite: true, THandle: "h", TPath: "R", TField: "val"},
-			},
-		})
-	}
-
-	const workers, perWorker = 6, 10
-	var wg sync.WaitGroup
-	errs := make(chan error, workers*perWorker)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				req := reqs[(w+i)%len(reqs)]
-				body, _ := json.Marshal(req)
-				resp, err := http.Post(rts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs <- fmt.Errorf("worker %d req %d: %v", w, i, err)
-					continue
-				}
-				out, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("worker %d req %d: status %d (%s)", w, i, resp.StatusCode, out)
-				}
-			}
-		}(w)
-	}
-
-	// Membership churn while the burst is in flight: grow, shrink, regrow.
-	rt.SetBackends([]string{a.URL, b.URL, c.URL})
-	rt.SetBackends([]string{a.URL, c.URL})
-	rt.SetBackends([]string{a.URL, b.URL, c.URL})
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	z := rt.StatzSnapshot()
-	total := int64(workers * perWorker)
-	if z.Accepted != total || z.Completed != total {
-		t.Errorf("accepted=%d completed=%d, want both %d — no request may be lost across ring changes", z.Accepted, z.Completed, total)
-	}
-	if z.Inflight != 0 {
-		t.Errorf("inflight = %d after the burst, want 0", z.Inflight)
-	}
-	if z.Shed != 0 || z.RefusedDraining != 0 {
-		t.Errorf("shed=%d refused=%d, want 0/0", z.Shed, z.RefusedDraining)
-	}
-}
-
 // TestRouterMetrics: the /metrics exposition parses under the registry's
 // own validator and carries the cluster families the ISSUE names.
 func TestRouterMetrics(t *testing.T) {
@@ -835,8 +706,6 @@ func TestRouterMetrics(t *testing.T) {
 		`apt_hedge_total{outcome="won"}`,
 		`apt_hedge_total{outcome="lost"}`,
 		`apt_hedge_total{outcome="spared"}`,
-		"apt_ring_moves_total",
-		"apt_ring_warm_handoffs_total",
 		"apt_router_accepted_total",
 		"apt_router_inflight",
 	} {

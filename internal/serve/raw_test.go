@@ -2,14 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/axiom"
+	"repro/internal/engine"
+	"repro/internal/exec"
 	"repro/internal/wire"
 )
 
@@ -105,79 +108,52 @@ func TestRawBatchRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestSnapshotPreloadHandoff is the warm-handoff round trip the router's
-// ring-change path performs: snapshot a warm engine off one server by
-// fingerprint, preload it into a second, and observe the second server
-// answer its first request over that set without a cold build.
-func TestSnapshotPreloadHandoff(t *testing.T) {
-	a := New(Config{Workers: 1})
-	tsA := httptest.NewServer(a)
-	defer tsA.Close()
-
-	// Warm server A on the tree set via raw mode.
-	if resp, br := postBatch(t, tsA.URL, rawTreeRequest()); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm request: status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
-	}
-
-	fp := axiom.LeafLinkedBinaryTree().Fingerprint64()
-	snap, err := http.Get(fmt.Sprintf("%s/v1/snapshot?fp=%016x", tsA.URL, fp))
+// TestNoNetworkArtifactIngress: a local -preload file is the only way an
+// artifact enters a server.  Neither the old snapshot nor the old preload
+// endpoint exists: shipping a valid artifact over HTTP answers 404 and
+// builds no engine, and a warm engine cannot be read back out.
+func TestNoNetworkArtifactIngress(t *testing.T) {
+	tree := axiom.LeafLinkedBinaryTree()
+	queries, err := exec.BuildRawQueries(tree, rawTreeRequest().Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := io.ReadAll(snap.Body)
-	snap.Body.Close()
+	eng := engine.New(tree, engine.Options{Workers: 1})
+	eng.Batch(context.Background(), queries)
+	var art bytes.Buffer
+	if _, err := eng.SnapshotArtifact().WriteTo(&art); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := automata.DecodeArtifact(art.Bytes()); err != nil {
+		t.Fatalf("test artifact does not decode: %v", err)
+	}
+
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	pre, err := http.Post(ts.URL+"/v1/preload", "application/octet-stream", bytes.NewReader(art.Bytes()))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot: status = %d (%s)", snap.StatusCode, art)
-	}
-	if len(art) == 0 {
-		t.Fatal("snapshot: empty artifact")
-	}
-
-	// Unknown fingerprints answer 404, not an empty artifact.
-	if resp, err := http.Get(tsA.URL + "/v1/snapshot?fp=00000000deadbeef"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("unknown fingerprint: status = %d, want 404", resp.StatusCode)
-		}
-	}
-
-	b := New(Config{Workers: 1})
-	tsB := httptest.NewServer(b)
-	defer tsB.Close()
-
-	pre, err := http.Post(tsB.URL+"/v1/preload", "application/octet-stream", bytes.NewReader(art))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report PreloadReport
-	if err := json.NewDecoder(pre.Body).Decode(&report); err != nil {
 		t.Fatal(err)
 	}
 	pre.Body.Close()
-	if pre.StatusCode != http.StatusOK {
-		t.Fatalf("preload: status = %d", pre.StatusCode)
+	if pre.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/preload: status = %d, want 404", pre.StatusCode)
 	}
-	if report.Built != 1 || report.Resident != 1 {
-		t.Errorf("preload report = %+v, want built 1 resident 1", report)
+	if n := srv.pool.Len(); n != 0 {
+		t.Errorf("POST /v1/preload left %d resident engines, want 0", n)
 	}
 
-	// The handoff's whole point: B's first request over the set rides the
-	// shipped engine instead of building cold.
-	resp, br := postBatch(t, tsB.URL, rawTreeRequest())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-preload request: status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
+	// Warm the set through the one real entry point, then ask for it back.
+	if resp, br := postBatch(t, ts.URL, rawTreeRequest()); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status = %d (%s)", resp.StatusCode, br.Stats.AxiomSet)
 	}
-	if br.Stats.ColdEngine {
-		t.Error("first request after preload still built the engine cold")
+	snap, err := http.Get(fmt.Sprintf("%s/v1/snapshot?fp=%016x", ts.URL, tree.Fingerprint64()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range br.Results {
-		if r.Result != "No" {
-			t.Errorf("results[%d] = %q (%s), want No", i, r.Result, r.Reason)
-		}
+	snap.Body.Close()
+	if snap.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/snapshot: status = %d, want 404", snap.StatusCode)
 	}
 }

@@ -227,8 +227,6 @@ func newServer(cfg Config) *Server {
 		wRequestNS: tel.Window("serve.request_ns"),
 	}
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("/v1/preload", s.handlePreload)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
@@ -239,9 +237,12 @@ func newServer(cfg Config) *Server {
 	// now — artifact-preseeded DFA cache and proof memo included — instead
 	// of on the first request per set.  With this, a -preload server's first
 	// request is already engine-warm (Stats.ColdEngine false), which is the
-	// artifact's whole point: warm-equivalent behavior from boot.
+	// artifact's whole point: warm-equivalent behavior from boot.  The
+	// pool's own Preload preseeds each of these cold builds.
 	if cfg.Preload != nil {
-		s.pool.PreloadArtifact(cfg.Preload)
+		for _, set := range engine.ArtifactAxiomSets(cfg.Preload) {
+			s.pool.Get(set)
+		}
 		s.replayWarm(cfg.Preload.Replays)
 		// Boot prewarm allocates heavily (engine construction, first parses);
 		// collect now so the first real request inherits a quiet heap instead

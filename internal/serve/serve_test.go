@@ -149,10 +149,10 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyIs413: a body one byte past MaxBodyBytes answers 413,
-// like a request with too many queries, not 400 — on /v1/batch and on
-// /v1/preload (whose cap is 64x) — and never reaches the prepared-request
-// cache, however often it repeats.  A body of exactly the cap is served.
+// TestOversizedBodyIs413: a body one byte past MaxBodyBytes answers 413 on
+// /v1/batch, like a request with too many queries, not 400 — and never
+// reaches the prepared-request cache, however often it repeats.  A body of
+// exactly the cap is served.
 func TestOversizedBodyIs413(t *testing.T) {
 	const limit = 4096
 	srv := New(Config{MaxBodyBytes: limit})
@@ -172,21 +172,6 @@ func TestOversizedBodyIs413(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if code, data := serveBody(t, srv, sized(limit)); code != http.StatusOK {
 			t.Errorf("send %d of a %d-byte body: status = %d, want 200 (%s)", i, limit, code, data)
-		}
-	}
-
-	for name, tc := range map[string]struct {
-		body []byte
-		want int
-	}{
-		"oversized artifact": {bytes.Repeat([]byte{0}, 64*limit+1), http.StatusRequestEntityTooLarge},
-		"corrupt artifact":   {[]byte("not an artifact"), http.StatusBadRequest},
-	} {
-		req := httptest.NewRequest(http.MethodPost, "/v1/preload", bytes.NewReader(tc.body))
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != tc.want {
-			t.Errorf("preload %s: status = %d, want %d (%s)", name, rec.Code, tc.want, rec.Body.Bytes())
 		}
 	}
 }

@@ -98,22 +98,6 @@ func NewFlightRecorder(k, ring int) *FlightRecorder {
 	}
 }
 
-// K returns the slowest-request retention count (0 for a nil recorder).
-func (f *FlightRecorder) K() int {
-	if f == nil {
-		return 0
-	}
-	return f.k
-}
-
-// RingSize returns the degraded-request ring capacity.
-func (f *FlightRecorder) RingSize() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.ring)
-}
-
 // Record offers one finished request.  build is invoked — once — only when
 // the request qualifies for retention, so callers can defer assembling the
 // span tree and metadata off the fast path.  degraded requests are always

@@ -85,18 +85,15 @@ func TestFlightRecorderNil(t *testing.T) {
 	if snap := f.Snapshot(); snap.K != 0 || snap.RingSize != 0 || snap.Slowest != nil {
 		t.Errorf("nil snapshot = %+v", snap)
 	}
-	if f.K() != 0 || f.RingSize() != 0 {
-		t.Error("nil accessors not zero")
-	}
 }
 
 func TestFlightRecorderDefaultsAndRounding(t *testing.T) {
-	f := NewFlightRecorder(0, 0)
-	if f.K() != DefaultFlightK || f.RingSize() != DefaultFlightRing {
-		t.Errorf("defaults = %d/%d", f.K(), f.RingSize())
+	snap := NewFlightRecorder(0, 0).Snapshot()
+	if snap.K != DefaultFlightK || snap.RingSize != DefaultFlightRing {
+		t.Errorf("defaults = %d/%d", snap.K, snap.RingSize)
 	}
-	if f := NewFlightRecorder(1, 5); f.RingSize() != 8 {
-		t.Errorf("ring size = %d, want next power of two 8", f.RingSize())
+	if got := NewFlightRecorder(1, 5).Snapshot().RingSize; got != 8 {
+		t.Errorf("ring size = %d, want next power of two 8", got)
 	}
 }
 

@@ -68,8 +68,8 @@ func (s *Set) Begin(event string) Span {
 	return openSpan(nil, s.trace, event, SpanID{})
 }
 
-// PhaseTiming is one completed pipeline phase.
-type PhaseTiming struct {
+// phaseTiming is one completed pipeline phase.
+type phaseTiming struct {
 	Name string
 	Dur  time.Duration
 }
@@ -80,7 +80,7 @@ type PhaseTiming struct {
 // (timings are still collected locally).  Not safe for concurrent use.
 type Phases struct {
 	tel *Set
-	rec []PhaseTiming
+	rec []phaseTiming
 }
 
 // NewPhases returns a phase timer reporting through tel (which may be nil).
@@ -92,14 +92,11 @@ func (p *Phases) Run(name string, f func() error) error {
 	start := time.Now()
 	err := f()
 	d := time.Since(start)
-	p.rec = append(p.rec, PhaseTiming{Name: name, Dur: d})
+	p.rec = append(p.rec, phaseTiming{Name: name, Dur: d})
 	p.tel.Histogram("pipeline." + name + "_ns").Observe(d.Nanoseconds())
 	sp.End(String("phase", name), Bool("ok", err == nil))
 	return err
 }
-
-// Timings returns the phases completed so far, in order.
-func (p *Phases) Timings() []PhaseTiming { return p.rec }
 
 // Summary renders the wall-clock-per-phase table.
 func (p *Phases) Summary() string {
